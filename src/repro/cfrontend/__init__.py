@@ -9,7 +9,7 @@ loops, and the ``send``/``recv`` communication intrinsics).
 from .cast import Program
 from .ctypes_ import ArrayType, FLOAT, INT, VOID
 from .errors import CMiniError, LexError, ParseError, SemanticError
-from .lexer import Lexer, Token, tokenize
+from .lexer import Token, tokenize
 from .parser import Parser, parse
 from .semantic import COMM_BUILTINS, Analyzer, ProgramInfo, analyze, parse_and_analyze
 
@@ -20,7 +20,6 @@ __all__ = [
     "COMM_BUILTINS",
     "FLOAT",
     "INT",
-    "Lexer",
     "LexError",
     "ParseError",
     "Parser",

@@ -5,11 +5,18 @@ functions, the usual statement forms (``if``/``else``, ``while``, ``for``,
 ``return``, ``break``, ``continue``) and C's arithmetic, comparison, logical
 and bitwise operators.  Comments use ``//`` and ``/* ... */``.
 
-The lexer is a straightforward hand-rolled scanner: it produces a list of
-:class:`Token` values that the recursive-descent parser consumes.
+The lexical grammar is ASCII: identifiers are ``[A-Za-z_][A-Za-z0-9_]*``
+and digits are ``[0-9]``.  One compiled master regular expression scans the
+source; each match is a token, a run of whitespace and comments, or one
+character no rule accepts.  :func:`tokenize` walks the matches once and
+builds the list of :class:`Token` values the recursive-descent parser
+consumes.
 """
 
 from __future__ import annotations
+
+import re
+import string
 
 from .errors import LexError
 
@@ -69,7 +76,29 @@ _OPERATORS = [
     ":",
 ]
 
-_PUNCTUATION = ["(", ")", "{", "}", "[", "]", ";", ","]
+_PUNCTUATION = "(){}[];,"
+
+# Alternatives are tried in order.  Comments come before the operators so
+# ``/*`` and ``//`` never lex as ``/``; a ``/*`` that ``skip`` cannot close
+# falls through to ``open_comment``.  Numbers match greedily: a float needs a
+# ``.``, an exponent or an ``f`` suffix, and ``0x`` without digits still
+# matches ``hex`` so it can be reported.
+_TOKEN_RE = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<hex>0[xX][0-9a-fA-F]*)"
+    r"|(?P<float>(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[fF]?"
+    r"|[0-9]+(?:[eE][+-]?[0-9]+[fF]?|[fF]))"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")"
+    r"|(?P<punct>[" + re.escape(_PUNCTUATION) + "])"
+    r"|(?P<other>.)",
+    re.DOTALL,
+)
+
+# A numeric literal may not run straight into a letter or underscore.
+_WORD_START = frozenset(string.ascii_letters + "_")
 
 
 class Token:
@@ -107,134 +136,46 @@ class Token:
         return hash((self.kind, self.value))
 
 
-class Lexer:
-    """Scans CMini source text into a token stream."""
-
-    def __init__(self, source):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def tokenize(self):
-        """Return the full token list, terminated by an ``eof`` token."""
-        tokens = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.pos >= len(self.source):
-                tokens.append(Token("eof", "", self.line, self.col))
-                return tokens
-            tokens.append(self._next_token())
-
-    # -- internals ---------------------------------------------------------
-
-    def _peek(self, offset=0):
-        idx = self.pos + offset
-        if idx < len(self.source):
-            return self.source[idx]
-        return ""
-
-    def _advance(self, count=1):
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def _skip_whitespace_and_comments(self):
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line = self.line
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start_line)
-            else:
-                return
-
-    def _next_token(self):
-        ch = self._peek()
-        line, col = self.line, self.col
-        if ch.isalpha() or ch == "_":
-            return self._lex_word(line, col)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._lex_number(line, col)
-        for op in _OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token("op", op, line, col)
-        if ch in _PUNCTUATION:
-            self._advance()
-            return Token("punct", ch, line, col)
-        raise LexError("unexpected character %r" % ch, line, col)
-
-    def _lex_word(self, line, col):
-        start = self.pos
-        while self.pos < len(self.source) and (
-            self._peek().isalnum() or self._peek() == "_"
-        ):
-            self._advance()
-        word = self.source[start : self.pos]
-        kind = "kw" if word in KEYWORDS else "id"
-        return Token(kind, word, line, col)
-
-    def _lex_number(self, line, col):
-        start = self.pos
-        is_float = False
-        if self._peek() == "0" and self._peek(1) != "" and self._peek(1) in "xX":
-            self._advance(2)
-            if not self._is_hex(self._peek()):
-                raise LexError("malformed hex literal", line, col)
-            while self._is_hex(self._peek()):
-                self._advance()
-            text = self.source[start : self.pos]
-            return Token("int", int(text, 16), line, col)
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == ".":
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() != "" and self._peek() in "eE":
-            probe = 1
-            if self._peek(1) != "" and self._peek(1) in "+-":
-                probe = 2
-            if self._peek(probe).isdigit():
-                is_float = True
-                self._advance(probe)
-                while self._peek().isdigit():
-                    self._advance()
-        if self._peek() != "" and self._peek() in "fF":
-            is_float = True
-            text = self.source[start : self.pos]
-            self._advance()
-        else:
-            text = self.source[start : self.pos]
-        if self._peek().isalpha() or self._peek() == "_":
-            raise LexError("malformed numeric literal", line, col)
-        if is_float:
-            return Token("float", float(text), line, col)
-        return Token("int", int(text, 10), line, col)
-
-    @staticmethod
-    def _is_hex(ch):
-        return ch != "" and ch in "0123456789abcdefABCDEF"
-
-
 def tokenize(source):
-    """Convenience wrapper: tokenize ``source`` and return the token list."""
-    return Lexer(source).tokenize()
+    """Return the token list of ``source``, terminated by an ``eof`` token.
+
+    Raises :class:`LexError` at the line and column of the first character
+    that does not start a token (an unterminated block comment reports the
+    line it opens on).
+    """
+    tokens = []
+    append = tokens.append
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        start = match.start()
+        if kind == "skip":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+            continue
+        col = start - line_start + 1
+        if kind == "word":
+            append(Token("kw" if text in KEYWORDS else "id", text, line, col))
+        elif kind == "op" or kind == "punct":
+            append(Token(kind, text, line, col))
+        elif kind == "int" or kind == "float" or kind == "hex":
+            if kind == "hex" and len(text) == 2:
+                raise LexError("malformed hex literal", line, col)
+            if source[match.end() : match.end() + 1] in _WORD_START:
+                raise LexError("malformed numeric literal", line, col)
+            if kind == "int":
+                append(Token("int", int(text, 10), line, col))
+            elif kind == "float":
+                append(Token("float", float(text.rstrip("fF")), line, col))
+            else:
+                append(Token("int", int(text, 16), line, col))
+        elif kind == "open_comment":
+            raise LexError("unterminated block comment", line)
+        else:
+            raise LexError("unexpected character %r" % text, line, col)
+    append(Token("eof", "", line, len(source) - line_start + 1))
+    return tokens

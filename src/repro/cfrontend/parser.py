@@ -47,10 +47,14 @@ class Parser:
         self.pos = 0
 
     # -- token helpers -----------------------------------------------------
+    #
+    # ``pos`` never moves past the trailing ``eof`` token, so the current
+    # token is always ``self.tokens[self.pos]``; only lookahead is clamped.
 
     def _peek(self, offset=0):
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def _advance(self):
         tok = self.tokens[self.pos]
@@ -59,15 +63,14 @@ class Parser:
         return tok
 
     def _check(self, kind, value=None):
-        tok = self._peek()
-        if tok.kind != kind:
-            return False
-        return value is None or tok.value == value
+        tok = self.tokens[self.pos]
+        return tok.kind == kind and (value is None or tok.value == value)
 
     def _match(self, kind, value=None):
-        if self._check(kind, value):
-            return self._advance()
-        return None
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (value is not None and tok.value != value):
+            return None
+        return self._advance()
 
     def _expect(self, kind, value=None):
         tok = self._peek()

@@ -67,8 +67,16 @@ def _on_alarm(signum, frame):
     raise _DeadlineSignal()
 
 
-def _worker_main(conn):
-    """Body of one resident worker process (runs until EOF/shutdown)."""
+def _worker_main(conn, parent_ends):
+    """Body of one resident worker process (runs until EOF/shutdown).
+
+    ``parent_ends`` are the daemon-side pipe ends the fork inherited (this
+    worker's own and its siblings').  Closing them leaves the daemon the
+    only holder, so when it dies ``conn.recv()`` sees EOF and the worker
+    exits instead of outliving it.
+    """
+    for end in parent_ends:
+        end.close()
     # The fork inherits the daemon's signal wiring; a worker must die to
     # SIGTERM normally and must not write to the parent's wakeup fd.
     signal.set_wakeup_fd(-1)
@@ -285,8 +293,11 @@ class WorkerPool:
 
     def _spawn(self):
         parent_conn, child_conn = self._mp.Pipe()
+        parent_ends = [parent_conn] + [
+            handle.conn for handle in self._slots if handle is not None
+        ]
         process = self._mp.Process(
-            target=_worker_main, args=(child_conn,), daemon=True,
+            target=_worker_main, args=(child_conn, parent_ends), daemon=True,
         )
         process.start()
         child_conn.close()

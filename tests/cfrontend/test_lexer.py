@@ -67,6 +67,15 @@ class TestNumericLiterals:
         with pytest.raises(LexError):
             tokenize("0x")
 
+    @pytest.mark.parametrize("source", ["0x1G", "0x1g", "0xF_", "0XAz"])
+    def test_hex_then_letter_is_error(self, source):
+        # Hex literals get the same trailing-letter check as decimals.
+        with pytest.raises(LexError) as info:
+            tokenize("x = " + source)
+        assert (info.value.message, info.value.line, info.value.col) == (
+            "malformed numeric literal", 1, 5,
+        )
+
 
 class TestOperators:
     def test_multichar_operators_maximal_munch(self):
@@ -112,6 +121,28 @@ class TestCommentsAndWhitespace:
     def test_unexpected_character(self):
         with pytest.raises(LexError):
             tokenize("a $ b")
+
+    @pytest.mark.parametrize("char", ["\u00b2", "\u0663", "\u00e9", "\u00aa"])
+    def test_non_ascii_is_unexpected_character(self, char):
+        # The lexical grammar is ASCII: a Unicode digit or letter (which
+        # str.isdigit()/isalpha() accept) is a LexError at its position,
+        # never a raw ValueError from int().
+        with pytest.raises(LexError) as info:
+            tokenize("int x;\nint y = " + char + ";")
+        assert (info.value.message, info.value.line, info.value.col) == (
+            "unexpected character %r" % char, 2, 9,
+        )
+
+    def test_non_ascii_inside_identifier_or_after_number(self):
+        with pytest.raises(LexError, match=r"1:2: unexpected character"):
+            tokenize("a\u00e9")
+        with pytest.raises(LexError, match=r"1:2: unexpected character"):
+            tokenize("1\u00b2")
+
+    def test_non_ascii_in_comments_is_fine(self):
+        assert kinds("a // \u00b2\nb /* \u00e9 */") == [
+            ("id", "a"), ("id", "b"),
+        ]
 
 
 class TestTokenEquality:

@@ -3,8 +3,8 @@
 The unit tests drive :class:`~repro.serve.daemon.ServeDaemon` in-process;
 the integration and chaos tests want the real thing — ``python -m repro
 serve`` as a subprocess, its own interpreter, real forked workers, real
-signals.  ``serve_daemon`` hands tests a started daemon and tears it down
-with SIGTERM (escalating to SIGKILL only if drain wedges).
+signals.  ``serve_daemon`` hands tests a started daemon and SIGKILLs it at
+teardown; its workers see EOF on their pipes and exit with it.
 """
 
 import os

@@ -12,7 +12,9 @@ import asyncio
 import concurrent.futures
 import io
 import json
+import os
 import signal
+import time
 
 import pytest
 
@@ -356,6 +358,57 @@ class TestServedEndToEnd:
         assert all(w["alive"] for w in workers)
         assert sum(w["served"] for w in workers) >= 3
         assert stats["pool"]["restarts"] == 0
+
+
+class TestMalformedSources:
+    BAD_SOURCE = "int main(void) { return 1 +; }"
+
+    def test_syntax_errors_are_answers_not_breaker_failures(
+            self, serve_daemon, tmp_path):
+        # A syntax error is the common case in an edit loop: each one is an
+        # executed request (exit 2), so the kind's breaker never opens.
+        path = tmp_path / "bad.cmini"
+        path.write_text(self.BAD_SOURCE)
+        threshold = 2
+        handle = serve_daemon("--breaker-threshold", str(threshold))
+        with ServeClient("unix:" + handle.socket_path) as client:
+            for _ in range(threshold + 1):
+                reply = client.call("estimate", [str(path)])
+                assert reply["ok"] is True
+                assert reply["exit_code"] == 2
+                assert reply["output"] == (
+                    "error: line 1:28: unexpected token ';'\n"
+                )
+            stats = client.stats()
+        assert stats["breakers"]["estimate"]["state"] == "closed"
+
+
+def _running(pid):
+    """Whether ``pid`` names a live process (a zombie has exited)."""
+    try:
+        with open("/proc/%d/stat" % pid) as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_sigkilled_daemon_leaves_no_workers(serve_daemon):
+    handle = serve_daemon("--workers", "2")
+    with ServeClient("unix:" + handle.socket_path) as client:
+        pids = [w["pid"] for w in client.stats()["pool"]["workers"]]
+    assert len(pids) == 2 and all(_running(pid) for pid in pids)
+    handle.proc.kill()
+    handle.proc.wait(timeout=10)
+    deadline = time.monotonic() + 10
+    while any(_running(pid) for pid in pids):
+        if time.monotonic() > deadline:
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            pytest.fail("workers outlived the killed daemon")
+        time.sleep(0.05)
 
 
 class TestSimulationStats:

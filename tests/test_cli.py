@@ -312,13 +312,38 @@ class TestErrors:
         with pytest.raises(FileNotFoundError):
             run_cli(["estimate", "/nonexistent/path.cmini"])
 
-    def test_semantic_error_propagates(self, tmp_path):
+    def test_semantic_error_exits_2(self, tmp_path):
+        # A malformed source is bad input (exit 2, one ``error:`` line),
+        # not an internal error.
         path = tmp_path / "bad.cmini"
         path.write_text("int main(void) { return nope; }")
-        from repro.cfrontend.errors import SemanticError
+        code, text = run_cli(["estimate", str(path)])
+        assert code == 2
+        assert text == "error: line 1: undefined variable 'nope'\n"
 
-        with pytest.raises(SemanticError):
-            run_cli(["estimate", str(path)])
+    @pytest.mark.parametrize("source, message", [
+        ("int x = \u00b2;", "error: line 1:9: unexpected character '\u00b2'\n"),
+        ("int main(void) { return 1 +; }",
+         "error: line 1:28: unexpected token ';'\n"),
+    ])
+    def test_lex_and_parse_errors_exit_2(self, tmp_path, source, message):
+        path = tmp_path / "bad.cmini"
+        path.write_text(source, encoding="utf-8")
+        assert run_cli(["estimate", str(path)]) == (2, message)
+
+    def test_simulate_malformed_process_exits_2(self, tmp_path):
+        from repro.pum import microblaze
+        from repro.tlm import Design, save_design
+
+        design = Design("bad-source")
+        design.add_pe("cpu", microblaze(2048, 2048))
+        design.add_process("p", "int main(void) { return 0x1G; }",
+                           "main", "cpu")
+        path = tmp_path / "design.json"
+        save_design(design, str(path))
+        assert run_cli(["simulate", str(path)]) == (
+            2, "error: line 1:25: malformed numeric literal\n",
+        )
 
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):

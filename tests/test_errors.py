@@ -31,6 +31,7 @@ from repro.errors import (
 
 def _import_all_subsystems():
     """Touch every module that defines ReproError subclasses."""
+    import repro.cfrontend.errors  # noqa: F401
     import repro.cli  # noqa: F401 — imports most of them
     import repro.cycle.caches  # noqa: F401
     import repro.estimation.staticest  # noqa: F401
@@ -52,6 +53,7 @@ class TestRegistry:
             "bad-input", "aborted", "serve",                  # the bases
             "pum", "fault-scenario", "cache", "trace",        # bad input
             "static-estimate", "search", "checkpoint",
+            "cmini", "cmini-lex", "cmini-parse", "cmini-semantic",
             "simulation", "deadlock", "watchdog",             # aborted
             "wall-clock-exceeded", "horizon-exceeded",
             "livelock", "fault-injected",
@@ -77,6 +79,14 @@ class TestRegistry:
                 assert cls.exit_code == EXIT_SERVE
             elif issubclass(cls, InputError):
                 assert cls.exit_code == EXIT_INPUT
+
+    def test_frontend_errors_are_bad_input(self):
+        from repro.cfrontend import CMiniError, SemanticError
+
+        assert issubclass(CMiniError, InputError)
+        rebuilt = error_from_json(error_to_json(SemanticError("m", 3)))
+        assert isinstance(rebuilt, SemanticError)
+        assert str(rebuilt) == "line 3: m"
 
     def test_simulation_errors_joined_the_taxonomy(self):
         # The historical CLI convention: aborted runs exit 3.
