@@ -17,7 +17,7 @@ from repro.apps import dct_source
 from repro.apps.mp3 import Mp3Params, build_sources
 from repro.estimation import annotate_ir_program
 from repro.pum import filtercore_hw
-from repro.pum.model import ExecutionModel
+from repro.pum.model import PUM, ExecutionModel
 from repro.reporting import Table
 
 POLICIES = ("asap", "alap", "list")
@@ -26,8 +26,17 @@ _results = {}
 
 
 def _with_policy(pum, policy):
-    pum.execution = ExecutionModel(policy, pum.execution.op_mappings)
-    return pum
+    return PUM(
+        pum.name,
+        ExecutionModel(policy, pum.execution.op_mappings),
+        pum.units,
+        pum.pipelines,
+        branch=pum.branch,
+        memory=pum.memory,
+        icache_size=pum.icache_size,
+        dcache_size=pum.dcache_size,
+        frequency_mhz=pum.frequency_mhz,
+    )
 
 
 @pytest.fixture(scope="module")

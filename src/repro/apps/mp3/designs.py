@@ -20,9 +20,29 @@ VARIANTS = ("SW", "SW+1", "SW+2", "SW+4")
 MP3_STACK_WORDS = 1 << 15
 
 
+def build_pums(variant, icache_size=8 * 1024, dcache_size=4 * 1024,
+               memory_model=None, branch_model=None):
+    """``{pe name: PUM}`` for one MP3 design variant.
+
+    The CPU is a MicroBlaze with the given cache configuration and
+    (optionally calibrated) statistical models; each offloaded unit gets
+    its custom-HW PUM.
+    """
+    pums = {"cpu": microblaze(
+        icache_size, dcache_size,
+        memory_model=memory_model, branch_model=branch_model,
+    )}
+    for unit in sorted(VARIANT_MAPPINGS[variant]):
+        pums["hw_%s" % unit] = (
+            filtercore_hw() if unit.startswith("filter") else imdct_hw()
+        )
+    return pums
+
+
 def build_design(variant, params=None, n_frames=4, seed=1,
                  icache_size=8 * 1024, dcache_size=4 * 1024,
-                 memory_model=None, branch_model=None, sources=None):
+                 memory_model=None, branch_model=None, sources=None,
+                 pums=None):
     """Build one MP3 design variant.
 
     Args:
@@ -36,6 +56,9 @@ def build_design(variant, params=None, n_frames=4, seed=1,
         sources: a prebuilt :func:`build_sources` result for this variant
             (skips source generation — large product spaces build sources
             once per variant and assemble thousands of designs from them).
+        pums: prebuilt PUMs keyed by PE name, as :func:`build_pums` returns
+            them for this variant (skips PUM construction; PUMs are
+            immutable, so product spaces share them across designs).
 
     Returns:
         ``(design, frames)``.
@@ -45,19 +68,18 @@ def build_design(variant, params=None, n_frames=4, seed=1,
         sources if sources is not None
         else build_sources(variant, params, n_frames, seed)
     )
+    if pums is None:
+        pums = build_pums(variant, icache_size, dcache_size,
+                          memory_model=memory_model,
+                          branch_model=branch_model)
     design = Design("MP3-%s-i%d-d%d" % (variant, icache_size, dcache_size))
-    cpu_pum = microblaze(
-        icache_size, dcache_size,
-        memory_model=memory_model, branch_model=branch_model,
-    )
-    design.add_pe("cpu", cpu_pum)
+    design.add_pe("cpu", pums["cpu"])
     design.add_process("decoder", cpu_src, "main", "cpu")
     if hw_srcs:
         design.add_bus("sysbus", words_per_cycle=1, arbitration_cycles=2)
         for unit, src in hw_srcs.items():
-            pum = filtercore_hw() if unit.startswith("filter") else imdct_hw()
             pe_name = "hw_%s" % unit
-            design.add_pe(pe_name, pum)
+            design.add_pe(pe_name, pums[pe_name])
             req, rsp = CHANNEL_IDS[unit]
             design.add_channel(req, "%s_req" % unit, "sysbus")
             design.add_channel(rsp, "%s_rsp" % unit, "sysbus")

@@ -24,14 +24,23 @@ strings and literal values enter the digest).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 #: Bump when the IR serialisation below (or IR semantics) changes shape.
 IR_HASH_VERSION = 1
 
+#: Sources whose digests :func:`source_fingerprint` remembers.  A sweep
+#: asks for a handful of distinct sources thousands of times; a served
+#: ``edit`` brings a new one per request, so the memo stays small (it
+#: holds the source text itself).
+SOURCE_MEMO_ENTRIES = 16
 
+
+@functools.lru_cache(maxsize=SOURCE_MEMO_ENTRIES)
 def source_fingerprint(source):
-    """Stable digest of one process's CMini source text."""
+    """Stable digest of one process's CMini source text (memoised on the
+    text for the last :data:`SOURCE_MEMO_ENTRIES` sources)."""
     digest = hashlib.blake2b(digest_size=16)
     digest.update(b"src/v%d\x00" % IR_HASH_VERSION)
     digest.update(source.encode("utf-8", "replace"))

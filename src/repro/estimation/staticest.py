@@ -333,8 +333,8 @@ def process_comp_cycles(design, store=None, profile=None):
     distinct (application x PUM) pays annotation once.
     """
     from ..tlm.generator import (
-        DELAYS_KIND, GenerationReport, _annotate_stage, _delays_key,
-        _frontend_stage, _resolve_store,
+        GenerationReport, _annotate_stage, _delays_key, _frontend_stage,
+        _resolve_store,
     )
 
     store = _resolve_store(store)
@@ -345,9 +345,9 @@ def process_comp_cycles(design, store=None, profile=None):
     for name, decl in design.processes.items():
         pum = design.pes[decl.pe_name].pum
         ir_program, ir_fp = _frontend_stage(store, report, decl)
-        key = _delays_key(ir_fp, pum)
-        _annotate_stage(store, report, ir_program, pum, key)
-        delays = store.get(DELAYS_KIND, key)["functions"]
+        _, entry = _annotate_stage(store, report, ir_program, pum,
+                                   _delays_key(ir_fp, pum), stamp=False)
+        delays = entry["functions"]
         totals[name] = sum(
             count * delays[func_name][label]
             for func_name, per_block in profile.counts[name].items()

@@ -1073,7 +1073,8 @@ def mp3_platform_points(params=None, variant="SW+2", n_frames=1, seed=7,
                     for bus in design.buses.values():
                         bus.words_per_cycle = width
                         bus.arbitration_cycles = arbitration
-                    design.pes["cpu"].pum.frequency_mhz = mhz
+                    cpu = design.pes["cpu"]
+                    cpu.pum = cpu.pum.with_frequency(mhz)
                     return design
 
                 points.append(DesignPoint(

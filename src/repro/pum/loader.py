@@ -194,30 +194,34 @@ def pum_from_dict(data):
     )
 
 
-def pum_fingerprint(pum, include_frequency=True):
+def pum_fingerprint(pum):
     """Stable digest of the PUM's execution/datapath/branch/memory model.
 
     The configured I/D cache *sizes* are excluded: Algorithm 1 never reads
     them (cache effects enter only through Algorithm 2's statistical terms),
     so one fingerprint covers every cache configuration of the same PE and a
-    schedule computed at 8k/4k can be reused at 2k/2k.  Any change to the
-    scheduling policy, operation mapping table, functional units, pipelines,
-    or the statistical branch/memory models changes the fingerprint and
-    therefore invalidates cached schedules (see docs/performance.md).
+    schedule computed at 8k/4k can be reused at 2k/2k.  The PE clock is
+    excluded too: Algorithms 1 and 2 never read it (all delays are cycle
+    counts; frequency only scales a cycle's duration inside the simulation
+    kernel), so one schedule and one delay vector cover every clock.  Any
+    change to the PUM's name, scheduling policy, operation mapping table,
+    functional units, pipelines, or the statistical branch/memory models
+    changes the fingerprint and therefore invalidates cached schedules
+    (see docs/performance.md).
 
-    ``include_frequency=False`` additionally excludes the PE clock, which
-    Algorithms 1 and 2 never read either (all delays are cycle counts;
-    frequency only scales a cycle's duration inside the simulation kernel).
-    Frequency-sweep consumers — the annotation artifact key, static
-    estimation — use that form so one delay vector covers every clock.
+    Computed once per PUM and cached on it (a PUM is immutable);
+    :meth:`~repro.pum.model.PUM.with_frequency` and
+    :meth:`~repro.pum.model.PUM.with_caches` copies share the cache, so
+    one computation serves a parent and all its copies.
     """
-    data = pum_to_dict(pum)
-    data.pop("icache_size", None)
-    data.pop("dcache_size", None)
-    if not include_frequency:
-        data.pop("frequency_mhz", None)
-    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:24]
+    cell = pum._fingerprint
+    if cell[0] is None:
+        data = pum_to_dict(pum)
+        for field in ("frequency_mhz", "icache_size", "dcache_size"):
+            del data[field]
+        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        cell[0] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:24]
+    return cell[0]
 
 
 def pum_to_json(pum, indent=2):

@@ -243,7 +243,7 @@ class MemoryModel:
 
 
 class PUM:
-    """A complete processing unit model.
+    """A complete processing unit model — an immutable value.
 
     Attributes:
         name: PE name (e.g. ``"MicroBlaze"``, ``"DCT-HW"``).
@@ -256,6 +256,12 @@ class PUM:
         icache_size/dcache_size: the configured cache sizes in bytes
             (0 = no cache); only meaningful when ``memory`` is present.
         frequency_mhz: nominal clock, used to convert cycles to time.
+
+    Assigning any attribute after construction raises :class:`PUMError`,
+    so a PUM's fingerprint (:func:`repro.pum.pum_fingerprint`) is computed
+    once and cached on it.  Derive variants with :meth:`with_frequency` and
+    :meth:`with_caches`; the copies share the cached fingerprint, which
+    covers neither the clock nor the cache sizes.
     """
 
     def __init__(
@@ -270,21 +276,38 @@ class PUM:
         dcache_size=0,
         frequency_mhz=100.0,
     ):
-        self.name = name
-        self.execution = execution
-        self.units = list(units)
-        self.pipelines = list(pipelines)
-        self.branch = branch
-        self.memory = memory
-        self.icache_size = icache_size
-        self.dcache_size = dcache_size
-        self.frequency_mhz = frequency_mhz
-        self._units_by_kind = {}
-        for unit in self.units:
-            if unit.kind in self._units_by_kind:
+        units = list(units)
+        units_by_kind = {}
+        for unit in units:
+            if unit.kind in units_by_kind:
                 raise PUMError("duplicate functional-unit kind %r" % unit.kind)
-            self._units_by_kind[unit.kind] = unit
+            units_by_kind[unit.kind] = unit
+        vars(self).update(
+            name=name,
+            execution=execution,
+            units=units,
+            pipelines=list(pipelines),
+            branch=branch,
+            memory=memory,
+            icache_size=icache_size,
+            dcache_size=dcache_size,
+            frequency_mhz=frequency_mhz,
+            _units_by_kind=units_by_kind,
+            # One-element cell for the cached fingerprint, shared with every
+            # with_frequency()/with_caches() copy whichever computes it.
+            _fingerprint=[None],
+        )
         self._validate()
+
+    def __setattr__(self, name, value):
+        raise PUMError(
+            "PUM %r is immutable (cannot set %r); derive a variant with "
+            "with_frequency() or with_caches()" % (self.name, name)
+        )
+
+    def __delattr__(self, name):
+        raise PUMError("PUM %r is immutable (cannot delete %r)"
+                       % (self.name, name))
 
     def _validate(self):
         n_stages = max(p.n_stages for p in self.pipelines)
@@ -322,19 +345,21 @@ class PUM:
     def has_dcache(self):
         return self.memory is not None and self.dcache_size >= 0
 
+    def _derive(self, **changes):
+        """A copy with ``changes`` applied; the parent was validated, and
+        the copy shares its fingerprint cell (neither the clock nor the
+        cache sizes enter the fingerprint)."""
+        clone = object.__new__(PUM)
+        vars(clone).update(vars(self), **changes)
+        return clone
+
     def with_caches(self, icache_size, dcache_size):
         """A copy of this PUM configured for different cache sizes."""
-        return PUM(
-            self.name,
-            self.execution,
-            self.units,
-            self.pipelines,
-            branch=self.branch,
-            memory=self.memory,
-            icache_size=icache_size,
-            dcache_size=dcache_size,
-            frequency_mhz=self.frequency_mhz,
-        )
+        return self._derive(icache_size=icache_size, dcache_size=dcache_size)
+
+    def with_frequency(self, frequency_mhz):
+        """A copy of this PUM clocked at ``frequency_mhz``."""
+        return self._derive(frequency_mhz=frequency_mhz)
 
     def stage_latency(self, op, stage_idx):
         """Cycles ``op`` occupies pipeline stage ``stage_idx``."""

@@ -134,6 +134,12 @@ class SearchSpace:
             if axis not in self.freq_axes
             and axis not in (bus_width_axis, bus_arb_axis)
         ]
+        self._design_radix = [
+            (stride, size)
+            for (axis, _), stride, size in zip(self.axes, self._strides,
+                                               self._sizes)
+            if axis in self._design_axes
+        ]
         self._points = None
         self._hashes = None
 
@@ -193,6 +199,17 @@ class SearchSpace:
         key: one profile + one annotation per distinct key)."""
         meta = self.meta(index)
         return tuple(meta[axis] for axis in self._design_axes)
+
+    def delay_groups(self, indices):
+        """Positions in ``indices`` grouped by delay group, groups in order
+        of first appearance — the partition :meth:`delay_group_key`
+        induces, computed by mixed-radix arithmetic: a point's group is its
+        index with every non-design coordinate zeroed."""
+        keys = [0] * len(indices)
+        for stride, size in self._design_radix:
+            keys = [key + (index // stride) % size * stride
+                    for key, index in zip(keys, indices)]
+        return _group_positions(keys)
 
     def freq_axis_of(self, pe_name):
         """The frequency axis driving ``pe_name``'s clock (or ``None``)."""
@@ -256,6 +273,18 @@ def _fmt_value(value):
     return str(value)
 
 
+def _group_positions(keys):
+    """Positions of equal ``keys``, grouped in order of first appearance."""
+    groups = {}
+    for pos, key in enumerate(keys):
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [pos]
+        else:
+            group.append(pos)
+    return list(groups.values())
+
+
 class _PointListSpace:
     """Adapter presenting a plain :class:`DesignPoint` list as a (flat)
     search space: every point is its own delay group, no axes, no
@@ -289,8 +318,8 @@ class _PointListSpace:
     def build(self, meta_or_index):
         raise SearchError("point lists build through their DesignPoints")
 
-    def delay_group_key(self, index):
-        return index
+    def delay_groups(self, indices):
+        return _group_positions(indices)
 
     def freq_axis_of(self, pe_name):
         return None
@@ -377,10 +406,8 @@ def static_scores(space, indices, store=None):
 
     store = store or default_store()
     scores = [0.0] * len(indices)
-    groups = {}
-    for pos, index in enumerate(indices):
-        groups.setdefault(space.delay_group_key(index), []).append(pos)
-    for positions in groups.values():
+    groups = space.delay_groups(indices)
+    for positions in groups:
         sub = [indices[p] for p in positions]
         base_ns, freq_cycles, bus_hist, buses = _group_model(
             space, sub[0], store,
@@ -849,9 +876,11 @@ def mp3_product_space(params=None, variants=("SW+2",), n_frames=1, seed=7,
 
     Variant and cache geometry are design axes (one delay group per
     combination); bus width/arbitration and the CPU clock are analytic
-    axes.  Sources are built once per variant and shared by every point —
-    assembling one design costs microseconds, so even 10^4-10^6-point
-    spaces enumerate cheaply.
+    axes.  Sources are built once per variant and PUMs once per variant
+    and cache configuration, and shared by every point (a point's clock is
+    a :meth:`~repro.pum.model.PUM.with_frequency` copy, which keeps the
+    cached fingerprint) — assembling one design costs microseconds, so
+    even 10^4-10^6-point spaces enumerate cheaply.
 
     A non-empty ``traffic`` adds an instance-count design axis: those
     points evaluate via :func:`repro.workloads.run_traffic` (N lockstep
@@ -863,11 +892,12 @@ def mp3_product_space(params=None, variants=("SW+2",), n_frames=1, seed=7,
     prove it and falls back to kernel runs where it cannot.
     """
     from .apps.mp3 import Mp3Params
-    from .apps.mp3.designs import build_design
+    from .apps.mp3.designs import build_design, build_pums
     from .apps.mp3.source import VARIANT_MAPPINGS, build_sources
 
     params = params or Mp3Params()
     source_cache = {}
+    pum_cache = {}
 
     def sources_for(variant):
         if variant not in source_cache:
@@ -876,18 +906,24 @@ def mp3_product_space(params=None, variants=("SW+2",), n_frames=1, seed=7,
             )
         return source_cache[variant]
 
+    def pums_for(meta):
+        key = (meta["variant"], meta["icache"], meta["dcache"])
+        if key not in pum_cache:
+            pum_cache[key] = build_pums(*key)
+        pums = pum_cache[key]
+        return dict(pums, cpu=pums["cpu"].with_frequency(meta["cpu_mhz"]))
+
     def build(meta):
         design, _ = build_design(
             meta["variant"], params, n_frames, seed,
             icache_size=meta["icache"], dcache_size=meta["dcache"],
-            sources=sources_for(meta["variant"]),
+            sources=sources_for(meta["variant"]), pums=pums_for(meta),
         )
         for bus in design.buses.values():
             bus.words_per_cycle = meta["bus_width"]
             bus.arbitration_cycles = meta["bus_arb"]
             if meta.get("traffic") and traffic_policy is not None:
                 bus.policy = traffic_policy
-        design.pes["cpu"].pum.frequency_mhz = meta["cpu_mhz"]
         return design
 
     def area(meta):

@@ -40,7 +40,7 @@ never *which* ops happen.  Two signature tiers capture this:
 from __future__ import annotations
 
 from ..artifacts import content_key, register_kind
-from ..pum.loader import pum_to_dict
+from ..pum.loader import pum_fingerprint
 from ..simkernel import OP_RECV, OP_SEND, OP_WAIT
 from ..trace.stream import TraceError
 
@@ -57,7 +57,9 @@ __all__ = [
 #: Artifact kind for captured simulation traces.
 TRACE_KIND = "sim-trace"
 
-_SIG_VERSION = 1
+# Version 2 composes each PE's cached PUM fingerprint; traces stored under
+# v1 signatures are simply never looked up again.
+_SIG_VERSION = 2
 
 
 class SimTraceError(TraceError):
@@ -238,28 +240,23 @@ def _signature_doc(design, granularity, quantum, optimize):
     }
 
 
-def _pum_doc(pum):
-    """A PUM's serialised form minus the frequency, which only scales the
-    PE's cycle duration and never the recorded cycle *counts*."""
-    data = pum_to_dict(pum)
-    data.pop("frequency_mhz", None)
-    return data
-
-
 def replay_signature(design, granularity="transaction", quantum=None,
                      optimize=True):
     """Exact-tier trace signature of ``design``.
 
     Two designs with equal signatures produce identical op streams with
     identical wait cycle counts; any trace captured from one replays the
-    other bit-identically.  Bus parameters, PE frequencies and RTOS
-    parameters are deliberately absent — they are the replay axes.
+    other bit-identically.  Each PE enters as its cached PUM fingerprint
+    plus the configured cache sizes; bus parameters, PE frequencies and
+    RTOS parameters are deliberately absent — they are the replay axes.
     """
     import json
 
     doc = _signature_doc(design, granularity, quantum, optimize)
     doc["pes"] = {
-        name: _pum_doc(pe.pum) for name, pe in sorted(design.pes.items())
+        name: [pum_fingerprint(pe.pum), pe.pum.icache_size,
+               pe.pum.dcache_size]
+        for name, pe in sorted(design.pes.items())
     }
     return content_key(json.dumps(doc, sort_keys=True))
 
@@ -283,9 +280,9 @@ def process_delay_totals(design, store=None):
 
     Sums every basic block's annotated delay across all functions of each
     process — a workload-independent proxy for how a PUM/cache change
-    scales a process's dynamic wait cycles.  Reuses the generator's
-    ``tlm-ir`` / ``tlm-delays`` artifacts, so inside a sweep this is a pure
-    cache lookup.
+    scales a process's dynamic wait cycles.  The sum is stored with the
+    generator's ``tlm-delays`` artifact at annotation time, so inside a
+    sweep this is a pure cache lookup.
     """
     from ..tlm.generator import (
         GenerationReport, _annotate_stage, _delays_key, _frontend_stage,
@@ -298,11 +295,7 @@ def process_delay_totals(design, store=None):
     for name, decl in design.processes.items():
         pum = design.pes[decl.pe_name].pum
         ir_program, ir_fp = _frontend_stage(store, report, decl)
-        key = _delays_key(ir_fp, pum)
-        _annotate_stage(store, report, ir_program, pum, key)
-        totals[name] = sum(
-            block.delay
-            for fn_name in ir_program.functions
-            for block in ir_program.function(fn_name).blocks
-        )
+        _, entry = _annotate_stage(store, report, ir_program, pum,
+                                   _delays_key(ir_fp, pum), stamp=False)
+        totals[name] = entry["total"]
     return totals

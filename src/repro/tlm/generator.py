@@ -24,7 +24,8 @@ frontend   ``source_fingerprint(source)``                lowered IR + its
                                                          fingerprint
                                                          (``tlm-ir``)
 annotate   ``ir_fp / pum_fp / i<icache> / d<dcache>``    per-function block
-                                                         delays (``tlm-delays``)
+                                                         delays + their total
+                                                         (``tlm-delays``)
 codegen    annotation key × timed/coroutine/granularity/ generated module
            optimize/quantum flags                        source (``tlm-gensrc``),
                                                          compiled code object
@@ -71,7 +72,8 @@ STAGES = ("frontend", "annotate", "codegen")
 #: to serialise.
 IR_KIND = "tlm-ir"
 
-#: Per-function block-delay vectors keyed by IR × PUM (incl. cache sizes).
+#: Per-function block-delay vectors and their total, keyed by IR × PUM
+#: (incl. cache sizes).
 DELAYS_KIND = "tlm-delays"
 
 #: Generated module source (and suspending-function set) keyed by annotated
@@ -83,7 +85,8 @@ GENSRC_KIND = "tlm-gensrc"
 CODE_KIND = "tlm-code"
 
 register_kind(IR_KIND, version=1, disk=False)
-register_kind(DELAYS_KIND, version=1, disk=True)
+# Version 2 added the stored delay ``total``; v1 entries on disk are stale.
+register_kind(DELAYS_KIND, version=2, disk=True)
 register_kind(GENSRC_KIND, version=1, disk=True)
 register_kind(CODE_KIND, version=1, disk=False)
 
@@ -227,50 +230,56 @@ def _delays_key(ir_fp, pum):
     sizes, which the PUM fingerprint deliberately excludes (Algorithm 1
     never reads them) but the Algorithm-2 cache terms do.
 
-    The PE clock is excluded: every annotated delay is a cycle count, and
-    frequency only scales a cycle's wall duration inside the simulation
-    kernel — so a frequency sweep shares one delay vector (and one
-    generated TLM source) per cache configuration instead of re-annotating
-    per clock value."""
+    The PE clock stays out, as it does of the fingerprint: every annotated
+    delay is a cycle count, and frequency only scales a cycle's wall
+    duration inside the simulation kernel — so a frequency sweep shares one
+    delay vector (and one generated TLM source) per cache configuration
+    instead of re-annotating per clock value."""
     return "%s/%s/i%d/d%d" % (
-        ir_fp, pum_fingerprint(pum, include_frequency=False),
-        pum.icache_size, pum.dcache_size,
+        ir_fp, pum_fingerprint(pum), pum.icache_size, pum.dcache_size,
     )
 
 
-def _annotate_stage(store, report, ir_program, pum, key):
+def _annotate_stage(store, report, ir_program, pum, key, stamp=True):
     """Annotated IR (block delays applied in place) for one process.
 
-    On a hit the cached per-function delay vectors are re-applied to the
-    (possibly shared) IR's blocks, so a cached IR annotated for a different
-    PUM earlier in the sweep is always re-stamped before codegen.  Returns
-    an :class:`AnnotationReport` either way — synthesised from cached sizes
-    (with the lookup wall time) on a hit.
+    Returns ``(annotation, entry)``: an :class:`AnnotationReport` —
+    synthesised from cached sizes (with the lookup wall time) on a hit —
+    and the process's ``tlm-delays`` entry, whose ``total`` is the sum of
+    every block delay.  On a hit the cached per-function delay vectors are
+    re-applied to the (possibly shared) IR's blocks, so a cached IR
+    annotated for a different PUM earlier in the sweep is always re-stamped
+    before codegen; ``stamp=False`` skips that for callers that read only
+    the entry.
     """
     start = time.perf_counter()
     cached = store.get(DELAYS_KIND, key)
     if cached is None:
         annotation = annotate_ir_program(ir_program, pum)
-        store.put(DELAYS_KIND, key, {
-            "functions": {
-                name: [b.delay for b in ir_program.function(name).blocks]
-                for name in ir_program.functions
-            },
+        functions = {
+            name: [b.delay for b in ir_program.function(name).blocks]
+            for name in ir_program.functions
+        }
+        cached = {
+            "functions": functions,
+            "total": sum(map(sum, functions.values())),
             "n_functions": annotation.n_functions,
             "n_blocks": annotation.n_blocks,
             "n_ops": annotation.n_ops,
-        })
+        }
+        store.put(DELAYS_KIND, key, cached)
         report._account("annotate", time.perf_counter() - start, False)
-        return annotation
-    for name, delays in cached["functions"].items():
-        for block, delay in zip(ir_program.function(name).blocks, delays):
-            block.delay = delay
+        return annotation, cached
+    if stamp:
+        for name, delays in cached["functions"].items():
+            for block, delay in zip(ir_program.function(name).blocks, delays):
+                block.delay = delay
     seconds = time.perf_counter() - start
     report._account("annotate", seconds, True)
     return AnnotationReport(
         pum.name, cached["n_functions"], cached["n_blocks"],
         cached["n_ops"], seconds,
-    )
+    ), cached
 
 
 def _codegen_stage(store, report, ir_program, key, timed, coroutine,
@@ -360,7 +369,7 @@ def generate_tlm(design, timed=True, granularity="transaction",
         if timed:
             pum = design.pes[decl.pe_name].pum
             delays_key = _delays_key(ir_fp, pum)
-            report.per_process[name] = _annotate_stage(
+            report.per_process[name], _ = _annotate_stage(
                 store, report, ir_program, pum, delays_key,
             )
             codegen_key = delays_key + "/" + flags

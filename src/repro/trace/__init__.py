@@ -9,7 +9,9 @@ The same pattern at the transaction level — trace one timed TLM
 *simulation*, replay whole platform sweeps — lives in
 :mod:`repro.simtrace`; its main names are re-exported here lazily for
 discoverability (``from repro.trace import SimTrace`` works without
-importing the TLM stack up front).
+importing the TLM stack up front).  The stack-distance evaluator's names
+are forwarded lazily too: :mod:`.stackdist` imports numpy, which the
+simulation paths that only need :class:`TraceError` should not load.
 """
 
 from .capture import (
@@ -19,8 +21,10 @@ from .capture import (
     capture_design_trace,
     iss_capturable,
 )
-from .stackdist import HAVE_NUMPY, CacheGeometry, evaluate_stream
 from .stream import LineStream, StreamRecorder, TraceError
+
+#: Names forwarded (lazily, PEP 562) from :mod:`.stackdist`.
+_STACKDIST_NAMES = ("HAVE_NUMPY", "CacheGeometry", "evaluate_stream")
 
 #: Names forwarded (lazily, PEP 562) from :mod:`repro.simtrace`.
 _SIMTRACE_NAMES = (
@@ -36,20 +40,21 @@ _SIMTRACE_NAMES = (
 
 __all__ = [
     "CPUTrace",
-    "CacheGeometry",
-    "HAVE_NUMPY",
     "LineStream",
     "StreamRecorder",
     "TraceBuilder",
     "TraceError",
     "TracingCache",
     "capture_design_trace",
-    "evaluate_stream",
     "iss_capturable",
-] + list(_SIMTRACE_NAMES)
+] + list(_STACKDIST_NAMES) + list(_SIMTRACE_NAMES)
 
 
 def __getattr__(name):
+    if name in _STACKDIST_NAMES:
+        from . import stackdist
+
+        return getattr(stackdist, name)
     if name in _SIMTRACE_NAMES:
         from .. import simtrace
 

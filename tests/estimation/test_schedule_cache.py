@@ -21,7 +21,9 @@ from repro.pum import (
     imdct_hw,
     microblaze,
     pum_fingerprint,
+    pum_from_dict,
     pum_from_json,
+    pum_to_dict,
     pum_to_json,
     superscalar2,
 )
@@ -156,6 +158,22 @@ class TestPumFingerprint:
         wider = microblaze()
         wider.units[0].quantity += 1
         assert pum_fingerprint(base) != pum_fingerprint(wider)
+
+    def test_clock_only_change_adds_no_misses(self):
+        """Algorithms 1 and 2 never read the clock, so re-annotating at a
+        new frequency must be served entirely from the schedule memo."""
+        cpu_src, _, _ = build_sources("SW", SMALL_MP3, n_frames=1)
+        cache = ScheduleCache()
+        pum = microblaze(8192, 4096)
+        annotate_ir_program(compile_cmini(cpu_src), pum, cache=cache)
+        misses = cache.stats.misses
+        assert misses > 0
+        rebuilt_at_50mhz = pum_from_dict(
+            dict(pum_to_dict(pum), frequency_mhz=50.0))
+        for variant in (rebuilt_at_50mhz, pum.with_frequency(75.0),
+                        pum.with_caches(2048, 2048).with_frequency(133.0)):
+            annotate_ir_program(compile_cmini(cpu_src), variant, cache=cache)
+            assert cache.stats.misses == misses
 
 
 class TestScheduleCacheLRU:

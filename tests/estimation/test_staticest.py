@@ -68,7 +68,7 @@ class TestProfile:
                             icache_size=2048, dcache_size=2048)
         b, _ = build_design("SW+2", SMALL, n_frames=1, seed=7,
                             icache_size=16384, dcache_size=8192)
-        b.pes["cpu"].pum.frequency_mhz = 250.0
+        b.pes["cpu"].pum = b.pes["cpu"].pum.with_frequency(250.0)
         assert app_profile_key(a) == app_profile_key(b)
         c, _ = build_design("SW+2", SMALL, n_frames=1, seed=8)
         assert app_profile_key(a) != app_profile_key(c)
@@ -132,7 +132,7 @@ class TestStaticEstimate:
     def test_frequency_scales_estimate(self, fresh_store):
         base, _ = build_design("SW", SMALL, n_frames=1, seed=7)
         fast, _ = build_design("SW", SMALL, n_frames=1, seed=7)
-        fast.pes["cpu"].pum.frequency_mhz = 200.0
+        fast.pes["cpu"].pum = fast.pes["cpu"].pum.with_frequency(200.0)
         slow_est = static_estimate(base)
         fast_est = static_estimate(fast)
         assert fast_est == pytest.approx(slow_est / 2.0)
@@ -154,7 +154,8 @@ class TestFrequencyIndependentDelays:
         generate_tlm(base)
         stored = fresh_store.stats(DELAYS_KIND).stored
         retuned, _ = build_design("SW", SMALL, n_frames=1, seed=7)
-        retuned.pes["cpu"].pum.frequency_mhz = 333.0
+        retuned.pes["cpu"].pum = retuned.pes["cpu"].pum.with_frequency(
+            333.0)
         generate_tlm(retuned)
         # A pure clock change re-annotates nothing: delays are cycle
         # counts and the delays key excludes the frequency.

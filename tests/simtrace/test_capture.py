@@ -142,7 +142,8 @@ class TestCaptureEntryPoint:
         tweaked = _pipeline_design("microblaze", 1, 2, 5)
         tweaked.buses["bus"].words_per_cycle = 4
         tweaked.buses["bus"].arbitration_cycles = 1
-        tweaked.pes["cpu"].pum.frequency_mhz = 250.0
+        cpu = tweaked.pes["cpu"]
+        cpu.pum = cpu.pum.with_frequency(250.0)
         assert replay_signature(base) == replay_signature(tweaked)
         other_code = _pipeline_design("microblaze", 1, 2, 6)
         assert replay_signature(base) != replay_signature(other_code)

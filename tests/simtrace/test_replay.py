@@ -54,9 +54,11 @@ def _pipeline(n_msgs=3, payload=6, n_iters=20, wpc=1, arb=2,
     design.add_process("cons", CONSUMER % (n_msgs, payload),
                        "main", "hw")
     if cpu_mhz is not None:
-        design.pes["cpu"].pum.frequency_mhz = cpu_mhz
+        cpu = design.pes["cpu"]
+        cpu.pum = cpu.pum.with_frequency(cpu_mhz)
     if hw_mhz is not None:
-        design.pes["hw"].pum.frequency_mhz = hw_mhz
+        hw = design.pes["hw"]
+        hw.pum = hw.pum.with_frequency(hw_mhz)
     return design
 
 
@@ -208,8 +210,9 @@ class TestVectorizedReplay:
               recv(2, buf, 8);
               return 0;
             }""", "main", "sink")
-            design.pes["pa"].pum.frequency_mhz = mhz_a
-            design.pes["pb"].pum.frequency_mhz = mhz_b
+            for pe_name, mhz in (("pa", mhz_a), ("pb", mhz_b)):
+                pe = design.pes[pe_name]
+                pe.pum = pe.pum.with_frequency(mhz)
             return design
 
         trace, _ = capture_tlm_trace(racing())

@@ -42,7 +42,8 @@ def _platform_point(name, wpc=1, arb=2, mhz=100.0, icache=8192):
         design.add_channel(2, "rsp", "bus")
         design.add_process("prod", PRODUCER, "main", "cpu")
         design.add_process("cons", CONSUMER, "main", "hw")
-        design.pes["cpu"].pum.frequency_mhz = mhz
+        cpu = design.pes["cpu"]
+        cpu.pum = cpu.pum.with_frequency(mhz)
         return design
 
     return DesignPoint(name, build)
