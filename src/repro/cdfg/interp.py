@@ -5,6 +5,14 @@ Python code, the R32 ISS and the cycle-accurate PCAM must all agree with it
 bit-for-bit on ``int`` results (and exactly on ``float`` results, since every
 backend uses double arithmetic); the integration test-suite enforces this.
 
+Execution has one form: :meth:`Interpreter.call_gen` returns a generator
+(one per IR function call) that runs the program and suspends at every
+``comm`` op, yielding ``("send", chan, values)`` or ``("recv", chan,
+count)``; a ``recv`` is resumed with the received words.  Whoever drives
+the generator implements the channels — :meth:`Interpreter.call` with a
+``comm`` object, a PCAM hardware unit with kernel channels, or the static
+estimator's profiling scheduler.
+
 It also exposes two instrumentation hooks used elsewhere in the system:
 
 * ``on_block(func_name, label)`` — called each time a basic block starts
@@ -12,18 +20,21 @@ It also exposes two instrumentation hooks used elsewhere in the system:
   of annotated block delays over this trace, and the PCAM's HW datapath model
   re-schedules each block dynamically from the same hook.
 * ``comm`` — an object with ``send(chan, values)`` / ``recv(chan, count)``
-  implementing the communication intrinsics.
+  that :meth:`Interpreter.call` hands the communication requests to.
 """
 
 from __future__ import annotations
 
 from ..cfrontend.ctypes_ import FLOAT, INT, is_array
+from ..errors import AbortError
 from . import cnum
 from .ir import default_value, global_storage
 
 
-class InterpreterError(Exception):
+class InterpreterError(AbortError):
     """Raised for runtime errors in interpreted CMini code."""
+
+    code = "interpreter"
 
 
 class NullComm:
@@ -144,11 +155,33 @@ class Interpreter:
         self.block_counts = {}
 
     def call(self, func_name, *args):
-        """Invoke ``func_name`` with Python values.
+        """Invoke ``func_name`` with Python values and run it to completion.
 
         Scalars are passed by value; arrays must be Python lists and are
         passed by reference (mutations are visible to the caller), matching C
-        array-decay semantics.
+        array-decay semantics.  Communication requests go to ``comm``.
+        """
+        program = self.call_gen(func_name, *args)
+        comm = self.comm
+        reply = None
+        while True:
+            try:
+                kind, chan, payload = program.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            if kind == "send":
+                comm.send(chan, payload)
+                reply = None
+            else:
+                reply = comm.recv(chan, payload)
+
+    def call_gen(self, func_name, *args):
+        """The generator form of :meth:`call`.
+
+        Runs ``func_name`` and suspends at each ``comm`` op, yielding
+        ``("send", chan, values)`` (resume with ``None``) or ``("recv",
+        chan, count)`` (resume with the ``count`` received words).  The
+        function's return value is the generator's return value.
         """
         func = self.program.function(func_name)
         if len(args) != len(func.params):
@@ -171,6 +204,7 @@ class Interpreter:
     # -- execution -----------------------------------------------------------
 
     def _run(self, frame):
+        """Generator executing one function call (see :meth:`call_gen`)."""
         self._depth += 1
         if self._depth > self.max_depth:
             self._depth -= 1
@@ -178,23 +212,105 @@ class Interpreter:
         try:
             func = frame.func
             self._init_locals(frame)
-            block = func.blocks[0]
+            name = func.name
+            blocks = func.blocks
+            temps = frame.temps
+            local_vars = frame.locals
+            global_vars = self.globals
             counts = self.block_counts
+            on_block = self.on_block
+            block = blocks[0]
             while True:
-                key = (func.name, block.label)
+                key = (name, block.label)
                 counts[key] = counts.get(key, 0) + 1
-                if self.on_block is not None:
-                    self.on_block(func.name, block.label)
-                result = self._exec_block(frame, block)
-                if result is None:
+                if on_block is not None:
+                    on_block(name, block.label)
+                for op in block.ops:
+                    opcode = op.opcode
+                    if opcode == "const":
+                        temps[op.dst] = op.attrs["value"]
+                    elif opcode == "ld":
+                        attrs = op.attrs
+                        store = (global_vars if attrs["scope"] == "global"
+                                 else local_vars)
+                        temps[op.dst] = store[attrs["var"]]
+                    elif opcode == "st":
+                        attrs = op.attrs
+                        store = (global_vars if attrs["scope"] == "global"
+                                 else local_vars)
+                        store[attrs["var"]] = temps[op.args[0]]
+                    elif opcode == "ldx":
+                        attrs = op.attrs
+                        array = (global_vars if attrs["scope"] == "global"
+                                 else local_vars)[attrs["var"]]
+                        index = temps[op.args[0]]
+                        self._check_bounds(op, index, len(array))
+                        temps[op.dst] = array[index]
+                    elif opcode == "stx":
+                        attrs = op.attrs
+                        array = (global_vars if attrs["scope"] == "global"
+                                 else local_vars)[attrs["var"]]
+                        index = temps[op.args[0]]
+                        self._check_bounds(op, index, len(array))
+                        array[index] = temps[op.args[1]]
+                    elif opcode == "bin":
+                        temps[op.dst] = eval_binop(
+                            op.attrs["op"],
+                            temps[op.args[0]],
+                            temps[op.args[1]],
+                            op.attrs["ctype"],
+                        )
+                    elif opcode == "un":
+                        temps[op.dst] = eval_unop(
+                            op.attrs["op"], temps[op.args[0]],
+                            op.attrs["ctype"],
+                        )
+                    elif opcode == "cast":
+                        temps[op.dst] = eval_cast(
+                            temps[op.args[0]], op.attrs["to_type"]
+                        )
+                    elif opcode == "call":
+                        value = yield from self._run(
+                            self._callee_frame(frame, op)
+                        )
+                        if op.dst is not None:
+                            temps[op.dst] = value
+                    elif opcode == "comm":
+                        attrs = op.attrs
+                        chan = temps[op.args[0]]
+                        count = temps[op.args[1]]
+                        var = attrs["var"]
+                        array = (global_vars if attrs["scope"] == "global"
+                                 else local_vars)[var]
+                        if count < 0 or count > len(array):
+                            raise InterpreterError(
+                                "comm count %d out of range for %r[%d]"
+                                % (count, var, len(array))
+                            )
+                        if attrs["kind"] == "send":
+                            yield ("send", chan, array[:count])
+                        else:
+                            array[:count] = yield ("recv", chan, count)
+                    elif opcode == "br":
+                        attrs = op.attrs
+                        block = blocks[
+                            attrs["true_label"]
+                            if cnum.as_bool(temps[op.args[0]])
+                            else attrs["false_label"]
+                        ]
+                        break
+                    elif opcode == "jmp":
+                        block = blocks[op.attrs["label"]]
+                        break
+                    elif opcode == "ret":
+                        return temps[op.args[0]] if op.args else None
+                    else:  # pragma: no cover
+                        raise InterpreterError("unknown opcode %r" % opcode)
+                else:
                     raise InterpreterError(
-                        "block %s fell through without terminator" % block.label
+                        "block %s fell through without terminator"
+                        % block.label
                     )
-                kind, payload = result
-                if kind == "jump":
-                    block = func.blocks[payload]
-                else:  # "ret"
-                    return payload
         finally:
             self._depth -= 1
 
@@ -216,73 +332,8 @@ class Interpreter:
             else:
                 frame.locals[name] = default_value(ctype)
 
-    def _storage(self, frame, scope, var):
-        if scope == "global":
-            return self.globals
-        return frame.locals
-
-    def _exec_block(self, frame, block):
-        temps = frame.temps
-        for op in block.ops:
-            opcode = op.opcode
-            if opcode == "const":
-                temps[op.dst] = op.attrs["value"]
-            elif opcode == "ld":
-                store = self._storage(frame, op.attrs["scope"], op.attrs["var"])
-                temps[op.dst] = store[op.attrs["var"]]
-            elif opcode == "st":
-                store = self._storage(frame, op.attrs["scope"], op.attrs["var"])
-                store[op.attrs["var"]] = temps[op.args[0]]
-            elif opcode == "ldx":
-                array = self._storage(frame, op.attrs["scope"], op.attrs["var"])[
-                    op.attrs["var"]
-                ]
-                index = temps[op.args[0]]
-                self._check_bounds(op, index, len(array))
-                temps[op.dst] = array[index]
-            elif opcode == "stx":
-                array = self._storage(frame, op.attrs["scope"], op.attrs["var"])[
-                    op.attrs["var"]
-                ]
-                index = temps[op.args[0]]
-                self._check_bounds(op, index, len(array))
-                array[index] = temps[op.args[1]]
-            elif opcode == "bin":
-                temps[op.dst] = eval_binop(
-                    op.attrs["op"],
-                    temps[op.args[0]],
-                    temps[op.args[1]],
-                    op.attrs["ctype"],
-                )
-            elif opcode == "un":
-                temps[op.dst] = eval_unop(
-                    op.attrs["op"], temps[op.args[0]], op.attrs["ctype"]
-                )
-            elif opcode == "cast":
-                temps[op.dst] = eval_cast(
-                    temps[op.args[0]], op.attrs["to_type"]
-                )
-            elif opcode == "call":
-                value = self._exec_call(frame, op)
-                if op.dst is not None:
-                    temps[op.dst] = value
-            elif opcode == "comm":
-                self._exec_comm(frame, op)
-            elif opcode == "br":
-                if cnum.as_bool(temps[op.args[0]]):
-                    return ("jump", op.attrs["true_label"])
-                return ("jump", op.attrs["false_label"])
-            elif opcode == "jmp":
-                return ("jump", op.attrs["label"])
-            elif opcode == "ret":
-                if op.args:
-                    return ("ret", temps[op.args[0]])
-                return ("ret", None)
-            else:  # pragma: no cover
-                raise InterpreterError("unknown opcode %r" % opcode)
-        return None
-
-    def _exec_call(self, frame, op):
+    def _callee_frame(self, frame, op):
+        """The callee's frame for a ``call`` op, arguments bound."""
         callee = self.program.function(op.attrs["func"])
         inner = _Frame(callee)
         temps = frame.temps
@@ -294,23 +345,10 @@ class Interpreter:
                 )
             else:  # ("array", var, scope)
                 _, var, scope = spec
-                inner.locals[name] = self._storage(frame, scope, var)[var]
-        return self._run(inner)
-
-    def _exec_comm(self, frame, op):
-        chan = frame.temps[op.args[0]]
-        count = frame.temps[op.args[1]]
-        var = op.attrs["var"]
-        array = self._storage(frame, op.attrs["scope"], var)[var]
-        if count < 0 or count > len(array):
-            raise InterpreterError(
-                "comm count %d out of range for %r[%d]" % (count, var, len(array))
-            )
-        if op.attrs["kind"] == "send":
-            self.comm.send(chan, array[:count])
-        else:
-            values = self.comm.recv(chan, count)
-            array[:count] = values
+                inner.locals[name] = (
+                    self.globals if scope == "global" else frame.locals
+                )[var]
+        return inner
 
     @staticmethod
     def _check_bounds(op, index, size):

@@ -29,17 +29,17 @@ Subcommands:
     forces per-config replay, ``--workers N`` fans the replays out).
 ``run``
     Execute a program: reference interpreter by default, or the generated
-    timed code (``--timed``) which also reports the cycle estimate.
+    timed code (``--timed``) which also reports the cycle estimate.  The
+    entry must not reach ``send``/``recv`` (simulate a design for that).
 ``disasm``
     Compile to the R32 ISA and print the disassembly.
 ``pum``
     Print a preset PUM (or one loaded from JSON) as JSON.
 ``tlm`` / ``simulate``
-    Generate and run a TLM from a design JSON file.  ``--engine`` picks the
-    scheduler backend, ``--granularity``/``--quantum`` control wait
-    batching, ``--kernel-stats`` prints the scheduler counters, and
-    ``--gen-stats`` prints the generation pipeline's per-stage seconds
-    and artifact-cache counters.
+    Generate and run a TLM from a design JSON file.  ``--granularity``/
+    ``--quantum`` control wait batching, ``--kernel-stats`` prints the
+    scheduler counters, and ``--gen-stats`` prints the generation
+    pipeline's per-stage seconds and artifact-cache counters.
     ``--faults scenario.json`` injects a deterministic fault scenario;
     ``--max-wall-seconds`` / ``--max-cycles`` / ``--max-stalled`` arm the
     kernel watchdog (see docs/robustness.md).
@@ -62,6 +62,7 @@ import sys
 
 from .api import compile_cmini
 from .cdfg.printer import format_function
+from .errors import InputError
 from .estimation.annotator import annotate_ir_program
 from .pum import PUMError, dct_hw, filtercore_hw, imdct_hw, load_pum, microblaze, pum_to_json, superscalar2
 
@@ -155,10 +156,23 @@ def _write_generation_stages(out, stage_seconds, stage_hits, stage_misses,
               % ("total", sum(stage_seconds.values())))
 
 
+def _refuse_communicating_entry(ir, entry):
+    """``run`` and ``profile`` execute one process with no channels, so an
+    entry that can reach ``send``/``recv`` is refused before it runs."""
+    from .codegen.pygen import suspending_functions
+
+    if entry in suspending_functions(ir):
+        raise InputError(
+            "%s() can reach send/recv; a single program has no channels "
+            "(simulate a design instead)" % entry
+        )
+
+
 def cmd_run(args, out):
     with open(args.source) as handle:
         source = handle.read()
     ir = compile_cmini(source)
+    _refuse_communicating_entry(ir, args.entry)
     entry_args = tuple(int(a) for a in args.args)
     if args.timed:
         from .codegen import ProcessContext, generate_program
@@ -206,6 +220,7 @@ def cmd_profile(args, out):
     with open(args.source) as handle:
         source = handle.read()
     ir = compile_cmini(source)
+    _refuse_communicating_entry(ir, args.entry)
     pum = _resolve_pum(args)
     entry_args = tuple(int(a) for a in args.args)
     profile = profile_program(ir, pum, entry=args.entry, args=entry_args)
@@ -226,8 +241,7 @@ def cmd_tlm(args, out):
         return _run_traffic_cli(args, out, design, scenario)
     model = generate_tlm(
         design, timed=not args.functional, granularity=args.granularity,
-        engine=args.engine, optimize=not args.no_optimize,
-        quantum=args.quantum,
+        optimize=not args.no_optimize, quantum=args.quantum,
     )
     watchdog = _build_watchdog(args, model.reference_cycle_ns)
     result = model.run(
@@ -274,7 +288,7 @@ def _run_traffic_cli(args, out, design, scenario):
     from .tlm.model import REFERENCE_CYCLE_NS
 
     result = run_traffic(
-        design, spec, granularity=args.granularity, engine=args.engine,
+        design, spec, granularity=args.granularity,
         optimize=not args.no_optimize, quantum=args.quantum,
         scheduler=args.scheduler, faults=scenario,
         watchdog=_build_watchdog(args, REFERENCE_CYCLE_NS),
@@ -335,9 +349,9 @@ def _write_fault_stats(out, scenario, stats):
 
 def _write_kernel_stats(out, stats):
     out.write(
-        "kernel: engine=%s scheduler=%s  %d activations, %d events "
+        "kernel: scheduler=%s  %d activations, %d events "
         "scheduled, %d channel fast-path hits, %d buckets drained\n" % (
-            stats.get("engine", "?"), stats.get("scheduler", "?"),
+            stats.get("scheduler", "?"),
             stats.get("activations", 0),
             stats.get("events_scheduled", 0),
             stats.get("channel_fastpath_hits", 0),
@@ -1059,9 +1073,6 @@ def build_parser():
     p_tlm.add_argument("--quantum", type=int, default=None, metavar="N",
                        help="waits coalesced per kernel event under "
                             "--granularity quantum")
-    p_tlm.add_argument("--engine", choices=["coroutine", "thread"],
-                       default="coroutine",
-                       help="process scheduler backend (default: coroutine)")
     p_tlm.add_argument("--scheduler", choices=["auto", "heap", "wheel"],
                        default="auto",
                        help="kernel event scheduler: binary heap, indexed "
@@ -1125,6 +1136,7 @@ def main(argv=None, out=None):
     # the single taxonomy-driven except clause below covers them all
     # (see repro.errors for the code/exit-code conventions).
     from . import errors
+    from .cdfg import interp as _interp  # noqa: F401
     from .cycle import caches as _caches  # noqa: F401
     from .estimation import staticest as _staticest  # noqa: F401
     from .faults import scenario as _scenario  # noqa: F401

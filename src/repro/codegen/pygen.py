@@ -31,12 +31,13 @@ paper's Table-1 speed claim:
   calls, communications and returns (where the sum first becomes
   observable).
 
-With ``coroutine=True`` processes are emitted as generator functions for
-the kernel's trampoline scheduler: functions that can suspend (reach a
-``comm``, or carry delays under per-block/quantum sync) become generators
-chained with ``yield from``; everything else stays a plain call.
-``optimize=False, coroutine=False`` reproduces the original emission
-exactly and serves as the equivalence baseline.
+Processes run as generator processes of the simulation kernel, so every
+function that can suspend (reaches a ``comm``, or carries delays under
+per-block/quantum sync) is emitted as a generator function, chained with
+``yield from``; everything else stays a plain call.  A comm-free program
+at transaction granularity therefore has no generator function at all and
+can be called directly, without a kernel.  ``optimize=False`` reproduces
+the original linear emission and serves as the equivalence baseline.
 """
 
 from __future__ import annotations
@@ -68,24 +69,23 @@ class GeneratedProgram:
     """A compiled generated module plus its metadata."""
 
     def __init__(self, source, namespace, ir_program, timed,
-                 coroutine=False, granularity="transaction", optimize=True,
+                 granularity="transaction", optimize=True,
                  suspending=frozenset()):
         self.source = source
         self.namespace = namespace
         self.ir_program = ir_program
         self.timed = timed
-        self.coroutine = coroutine
         self.granularity = granularity
         self.optimize = optimize
-        #: names of functions emitted as generators (coroutine mode only)
+        #: names of functions emitted as generator functions
         self.suspending = frozenset(suspending)
 
     def entry(self, func_name):
         """The generated callable for ``func_name``.
 
-        Signature: ``fn(ctx, glob, *scalar_or_array_args)``.  In coroutine
-        mode, functions in :attr:`suspending` are generator functions and
-        must be driven (or ``yield from``-ed) rather than called for effect.
+        Signature: ``fn(ctx, glob, *scalar_or_array_args)``.  Functions in
+        :attr:`suspending` are generator functions and must be driven (or
+        ``yield from``-ed) rather than called for effect.
         """
         return self.namespace["f_" + func_name]
 
@@ -98,18 +98,17 @@ class GeneratedProgram:
         return global_storage(self.ir_program)
 
 
-def generate_source(ir_program, timed=True, coroutine=False,
-                    granularity="transaction", optimize=True):
+def generate_source(ir_program, timed=True, granularity="transaction",
+                    optimize=True):
     """Emit Python source for every function of ``ir_program``.
 
     When ``timed`` is true every basic block must carry an annotated delay
     (run the annotator first); blocks with delay 0 emit no wait call.
     ``granularity`` only affects how waits are emitted (``"block"`` and
-    ``"quantum"`` sync inside the process, so suspension must be emitted at
-    each wait site in coroutine mode); the cycle accounting is identical
-    for every setting.
+    ``"quantum"`` sync inside the process, so suspension is emitted at each
+    wait site); the cycle accounting is identical for every setting.
     """
-    cfg = _EmitConfig(ir_program, timed, coroutine, granularity, optimize)
+    cfg = _EmitConfig(ir_program, timed, granularity, optimize)
     writer = _Writer()
     writer.line("# Generated by repro.codegen.pygen — do not edit.")
     writer.line("from repro.codegen.runtime import c_div, c_rem, c_f2i")
@@ -121,21 +120,19 @@ def generate_source(ir_program, timed=True, coroutine=False,
 
 
 def generate_program(ir_program, timed=True, module_name="<generated-tlm>",
-                     coroutine=False, granularity="transaction",
-                     optimize=True):
+                     granularity="transaction", optimize=True):
     """Generate and compile the program; returns a :class:`GeneratedProgram`."""
     source = generate_source(
-        ir_program, timed, coroutine=coroutine, granularity=granularity,
-        optimize=optimize,
+        ir_program, timed, granularity=granularity, optimize=optimize,
     )
     return program_from_source(
         source, ir_program, timed=timed, module_name=module_name,
-        coroutine=coroutine, granularity=granularity, optimize=optimize,
+        granularity=granularity, optimize=optimize,
     )
 
 
 def program_from_source(source, ir_program, timed=True,
-                        module_name="<generated-tlm>", coroutine=False,
+                        module_name="<generated-tlm>",
                         granularity="transaction", optimize=True,
                         suspending=None, code=None):
     """Instantiate a :class:`GeneratedProgram` from already-generated source.
@@ -144,18 +141,17 @@ def program_from_source(source, ir_program, timed=True,
     source and compiled code objects separately; this is the assembly step
     it shares with :func:`generate_program`.  ``code`` (optional) skips the
     ``compile()`` for an already-compiled module; ``suspending`` (optional)
-    skips recomputing the generator-function set in coroutine mode.
+    skips recomputing the generator-function set.
     """
     if code is None:
         code = compile(source, module_name, "exec")
     namespace = {}
     exec(code, namespace)  # noqa: S102 - executing our own generated code
     if suspending is None:
-        suspending = _suspending_functions(ir_program, timed, granularity) \
-            if coroutine else frozenset()
+        suspending = suspending_functions(ir_program, timed, granularity)
     return GeneratedProgram(
         source, namespace, ir_program, timed,
-        coroutine=coroutine, granularity=granularity, optimize=optimize,
+        granularity=granularity, optimize=optimize,
         suspending=frozenset(suspending),
     )
 
@@ -187,12 +183,13 @@ class _Writer:
         return "\n".join(self._lines) + "\n"
 
 
-def _suspending_functions(ir_program, timed, granularity):
+def suspending_functions(ir_program, timed=False, granularity="transaction"):
     """Functions that can reach a kernel suspension point.
 
     A function suspends directly when it contains a ``comm`` op, or — under
     per-block/quantum sync — when any of its blocks carries a nonzero
-    delay.  Suspension propagates to callers through the call graph.
+    delay.  Suspension propagates to callers through the call graph.  With
+    the defaults this is the set of functions that can reach a ``comm`` op.
     """
     per_block_sync = timed and granularity in ("block", "quantum")
     suspends = set()
@@ -225,15 +222,12 @@ def _suspending_functions(ir_program, timed, granularity):
 class _EmitConfig:
     """Program-wide emission settings shared by every function."""
 
-    def __init__(self, ir_program, timed, coroutine, granularity, optimize):
+    def __init__(self, ir_program, timed, granularity, optimize):
         self.timed = timed
-        self.coroutine = coroutine
         self.granularity = granularity
         self.optimize = optimize
         self.per_block_sync = timed and granularity in ("block", "quantum")
-        self.suspending = _suspending_functions(
-            ir_program, timed, granularity
-        ) if coroutine else frozenset()
+        self.suspending = suspending_functions(ir_program, timed, granularity)
         # Global scalars written anywhere in the program can never be
         # hoisted to function-entry reads.
         stored = set()
@@ -293,7 +287,6 @@ class _FuncEmit:
     def __init__(self, func, cfg):
         self.func = func
         self.cfg = cfg
-        self.suspending = cfg.coroutine and func.name in cfg.suspending
         self.blocks = {b.label: b for b in func.blocks}
         self.preds = {}
         for block in func.blocks:
@@ -390,7 +383,7 @@ class _FuncEmit:
     # -- seed-shape (unoptimized) emission ------------------------------------
 
     def emit_seed_block(self, writer, block, dispatch=True):
-        """The original linear emission, extended only for coroutine mode."""
+        """The original linear emission, extended only for suspension."""
         wait_stmt = self._wait_lines(block)
         emitted = False
         for op in block.body:
@@ -462,24 +455,18 @@ class _FuncEmit:
             call = "f_%s(ctx, glob%s)" % (
                 attrs["func"], (", " + ", ".join(args)) if args else ""
             )
-            if self.cfg.coroutine and attrs["func"] in self.cfg.suspending:
+            if attrs["func"] in self.cfg.suspending:
                 call = "yield from " + call
             if op.dst is not None:
                 return ["t%d = %s" % (op.dst, call)]
             return [call]
         if opcode == "comm":
             buf = _plain_ref(op)
-            if self.suspending:
-                if attrs["kind"] == "send":
-                    return ["yield from ctx.send_gen(t%d, %s[:t%d])" % (
-                        op.args[0], buf, op.args[1]
-                    )]
-                return ["%s[:t%d] = yield from ctx.recv_gen(t%d, t%d)" % (
-                    buf, op.args[1], op.args[0], op.args[1]
-                )]
             if attrs["kind"] == "send":
-                return ["ctx.send(t%d, %s[:t%d])" % (op.args[0], buf, op.args[1])]
-            return ["%s[:t%d] = ctx.recv(t%d, t%d)" % (
+                return ["yield from ctx.send_gen(t%d, %s[:t%d])" % (
+                    op.args[0], buf, op.args[1]
+                )]
+            return ["%s[:t%d] = yield from ctx.recv_gen(t%d, t%d)" % (
                 buf, op.args[1], op.args[0], op.args[1]
             )]
         raise CodegenError("cannot emit opcode %r" % opcode)
@@ -497,7 +484,7 @@ class _FuncEmit:
             return []
         if self.use_acc:
             return ["_d += %d" % block.delay]
-        if self.cfg.per_block_sync and self.suspending:
+        if self.cfg.per_block_sync:
             return [
                 "if ctx.wait(%d):" % block.delay,
                 "    yield from ctx.sync_gen()",
@@ -806,7 +793,7 @@ class _FuncEmit:
             call = "f_%s(ctx, glob%s)" % (
                 attrs["func"], (", " + ", ".join(args)) if args else ""
             )
-            if self.cfg.coroutine and attrs["func"] in self.cfg.suspending:
+            if attrs["func"] in self.cfg.suspending:
                 call = "yield from " + call
             if op.dst is not None:
                 w.line("t%d = %s" % (op.dst, call))
@@ -825,19 +812,13 @@ class _FuncEmit:
                 self._flush_delay(w)
             buf = self.array_ref(attrs["var"], attrs["scope"])
             if attrs["kind"] == "send":
-                line = "ctx.send(%s, %s[:%s])" % (chan, buf, cnt)
-                if self.suspending:
-                    line = "yield from ctx.send_gen(%s, %s[:%s])" % (
-                        chan, buf, cnt
-                    )
-                w.line(line)
+                w.line("yield from ctx.send_gen(%s, %s[:%s])" % (
+                    chan, buf, cnt
+                ))
             else:
-                if self.suspending:
-                    w.line("%s[:%s] = yield from ctx.recv_gen(%s, %s)" % (
-                        buf, cnt, chan, cnt
-                    ))
-                else:
-                    w.line("%s[:%s] = ctx.recv(%s, %s)" % (buf, cnt, chan, cnt))
+                w.line("%s[:%s] = yield from ctx.recv_gen(%s, %s)" % (
+                    buf, cnt, chan, cnt
+                ))
             return
         raise CodegenError("cannot emit opcode %r" % opcode)
 

@@ -15,17 +15,17 @@ argument.  The context implements the paper's ``wait()`` accounting:
   process's local time may run ahead without paying a kernel activation
   per block.
 
-A context also works without any kernel attached ("standalone" mode): the
-generated code then simply accumulates ``total_cycles``, which is how the
-estimation engine produces a cycle count for a single-PE program without
-spinning up a TLM.
+Generated code runs as a kernel generator process, so a suspension must
+reach the kernel through a ``yield``: ``wait`` never touches the kernel
+itself, it *returns* True when a sync is due and the generated code
+performs ``yield from ctx.sync_gen()`` at the call site.  Communication is
+``yield from ctx.send_gen(...)`` / ``ctx.recv_gen(...)``.
 
-Coroutine-emitted code cannot call the kernel from inside ``wait`` (the
-suspension must reach the trampoline through a ``yield``), so such contexts
-are constructed with ``defer_sync=True``: ``wait`` then *returns* True when
-a sync is due and the generated code performs ``yield from ctx.sync_gen()``
-itself.  The ``*_gen`` methods mirror ``sync``/``send``/``recv`` for
-generator-backed processes.
+A context also works without any kernel attached ("standalone" mode): a
+comm-free program generated at transaction granularity has no suspending
+function, so calling its entry directly simply accumulates
+``total_cycles`` — which is how ``python -m repro run --timed`` produces a
+cycle count for a single-PE program without spinning up a TLM.
 """
 
 from __future__ import annotations
@@ -51,24 +51,21 @@ class ProcessContext:
     Args:
         name: process name (diagnostics).
         cycle_ns: duration of one PE cycle in kernel time units.
-        comm: object with ``send(process, chan, values)`` and
-            ``recv(process, chan, count)``; usually a
+        comm: object with the generator operations
+            ``send_gen(process, chan, values)`` and
+            ``recv_gen(process, chan, count)``; usually a
             :class:`~repro.tlm.model.ChannelBinding`.  ``None`` for pure
             computations.
-        sim_process: the kernel process this context belongs to
-            (:class:`~repro.simkernel.kernel.SimProcess` or
+        sim_process: the kernel process this context belongs to (a
             :class:`~repro.simkernel.kernel.GeneratorProcess`), or ``None``
             in standalone mode.
         granularity: when accumulated waits hit the kernel (see module doc).
         quantum: waits coalesced per kernel event in ``"quantum"`` mode.
-        defer_sync: when True, ``wait`` never syncs itself; it returns True
-            when a sync is due so coroutine-emitted code can
-            ``yield from ctx.sync_gen()`` at the call site.
     """
 
     def __init__(self, name="proc", cycle_ns=10.0, comm=None,
                  sim_process=None, granularity="transaction",
-                 cpu_share=None, quantum=DEFAULT_QUANTUM, defer_sync=False):
+                 cpu_share=None, quantum=DEFAULT_QUANTUM):
         if granularity not in GRANULARITIES:
             raise ValueError(
                 "granularity must be one of %s" % (GRANULARITIES,)
@@ -95,46 +92,29 @@ class ProcessContext:
         else:
             self._sync_threshold = 0
         self._pending_waits = 0
-        self._defer_sync = bool(defer_sync)
 
     # -- timing ------------------------------------------------------------
 
     def wait(self, cycles):
         """Accumulate the estimated delay of one basic-block execution.
 
-        Returns True when a sync is due but deferred to the caller
-        (coroutine mode); otherwise performs any due sync itself and
-        returns False.
+        Returns True when the granularity makes a sync due; the generated
+        code then runs ``yield from ctx.sync_gen()``.
         """
         self.pending_cycles += cycles
         self.total_cycles += cycles
         if self._sync_threshold:
             self._pending_waits += 1
-            if self._pending_waits >= self._sync_threshold:
-                if self._defer_sync:
-                    return True
-                self.sync()
+            return self._pending_waits >= self._sync_threshold
         return False
 
-    def sync(self):
+    def sync_gen(self):
         """Apply accumulated delay to the simulation kernel (``sc_wait``).
 
         Under an RTOS model the delay is executed on the shared processor
         (serialised against other processes on the same PE) instead of being
         a private wait.
         """
-        if self.pending_cycles and self.sim_process is not None:
-            if self.cpu_share is not None:
-                self.cpu_share.execute(
-                    self.sim_process, self.name, self.pending_cycles
-                )
-            else:
-                self.sim_process.wait(self.pending_cycles * self.cycle_ns)
-        self.pending_cycles = 0
-        self._pending_waits = 0
-
-    def sync_gen(self):
-        """Generator twin of :meth:`sync` for generator-backed processes."""
         if self.pending_cycles and self.sim_process is not None:
             if self.cpu_share is not None:
                 yield from self.cpu_share.execute_gen(
@@ -147,28 +127,8 @@ class ProcessContext:
 
     # -- communication -------------------------------------------------------
 
-    def send(self, chan, values):
-        """Transaction boundary: flush delays, then send over the channel."""
-        self.sync()
-        self.n_transactions += 1
-        if self.comm is None:
-            raise RuntimeError(
-                "process %r has no communication binding" % self.name
-            )
-        self.comm.send(self.sim_process, chan, values)
-
-    def recv(self, chan, count):
-        """Transaction boundary: flush delays, then blocking-receive."""
-        self.sync()
-        self.n_transactions += 1
-        if self.comm is None:
-            raise RuntimeError(
-                "process %r has no communication binding" % self.name
-            )
-        return self.comm.recv(self.sim_process, chan, count)
-
     def send_gen(self, chan, values):
-        """Generator twin of :meth:`send` for generator-backed processes."""
+        """Transaction boundary: flush delays, then send over the channel."""
         yield from self.sync_gen()
         self.n_transactions += 1
         if self.comm is None:
@@ -178,7 +138,7 @@ class ProcessContext:
         yield from self.comm.send_gen(self.sim_process, chan, values)
 
     def recv_gen(self, chan, count):
-        """Generator twin of :meth:`recv` for generator-backed processes."""
+        """Transaction boundary: flush delays, then blocking-receive."""
         yield from self.sync_gen()
         self.n_transactions += 1
         if self.comm is None:
@@ -204,11 +164,6 @@ class RecordingContext(ProcessContext):
     def __init__(self, recorder, **kwargs):
         super().__init__(**kwargs)
         self.recorder = recorder
-
-    def sync(self):
-        if self.pending_cycles and self.sim_process is not None:
-            self.recorder.record(self.name, OP_WAIT, self.pending_cycles, 0)
-        super().sync()
 
     def sync_gen(self):
         if self.pending_cycles and self.sim_process is not None:

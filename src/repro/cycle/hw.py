@@ -34,14 +34,7 @@ class HWUnit:
         self.cache_schedules = cache_schedules
         self._estimator = DelayEstimator(pum)
         self._schedule_cache = {}
-        self._comm = None
-        self.interpreter = Interpreter(
-            ir_program, comm=self, on_block=self._on_block
-        )
-
-    def bind_comm(self, comm):
-        """Attach the communication adapter (send/recv callbacks)."""
-        self._comm = comm
+        self.interpreter = Interpreter(ir_program, on_block=self._on_block)
 
     # -- interpreter hooks -----------------------------------------------------
 
@@ -59,21 +52,17 @@ class HWUnit:
             delay = self._estimator.block_delay(block)
         self.cycles += delay
 
-    def send(self, chan, values):
-        if self._comm is None:
-            raise RuntimeError("HW unit %r has no comm binding" % self.name)
-        self._comm.send(chan, values)
-
-    def recv(self, chan, count):
-        if self._comm is None:
-            raise RuntimeError("HW unit %r has no comm binding" % self.name)
-        return self._comm.recv(chan, count)
-
     # -- execution ---------------------------------------------------------------
 
     def run(self):
-        """Execute the whole process (used standalone, without a kernel)."""
+        """Execute a comm-free process standalone, without a kernel."""
         return self.interpreter.call(self.entry, *self.args)
+
+    def run_gen(self):
+        """The process as an interpreter generator that suspends at each
+        ``comm`` op (see :meth:`~repro.cdfg.interp.Interpreter.call_gen`);
+        the PCAM drives it from a kernel process."""
+        return self.interpreter.call_gen(self.entry, *self.args)
 
     def stats(self):
         return {

@@ -6,7 +6,9 @@ generator consumes, a cycle-accurate model: R32-compiled software on the
 clock-stepped custom-HW datapaths (:mod:`repro.cycle.hw`), and the shared
 bus with per-transaction occupancy — all coordinated by the simulation
 kernel at transaction boundaries, which is exact because PEs interact only
-through channels.
+through channels.  Every PE runs as a kernel generator process: a CPU
+yields at the events of its cycle model, a HW unit drives its interpreter
+generator and yields at each ``comm`` op.
 
 The resulting end-to-end cycle count is this repo's stand-in for the paper's
 Xilinx-board measurement; per-PE cache/branch statistics feed the
@@ -89,32 +91,6 @@ class BoardResult:
         return "BoardResult(%r, makespan=%d cycles, wall=%.2fs)" % (
             self.design_name, self.makespan_cycles, self.wall_seconds,
         )
-
-
-class _HWComm:
-    """Comm adapter handed to a HW unit: lazily applies accumulated cycles to
-    the kernel before touching the channel (transaction-boundary timing)."""
-
-    def __init__(self, unit, sim_process, channel_map, cycle_ns):
-        self.unit = unit
-        self.sim_process = sim_process
-        self.channel_map = channel_map
-        self.cycle_ns = cycle_ns
-        self._synced_cycles = 0
-
-    def _sync(self):
-        pending = self.unit.cycles - self._synced_cycles
-        if pending:
-            self.sim_process.wait(pending * self.cycle_ns)
-            self._synced_cycles = self.unit.cycles
-
-    def send(self, chan, values):
-        self._sync()
-        self.channel_map.get(chan).send(self.sim_process, values)
-
-    def recv(self, chan, count):
-        self._sync()
-        return self.channel_map.get(chan).recv(self.sim_process, count)
 
 
 def run_pcam(design, cache_schedules=True, reference_cycle_ns=10.0,
@@ -253,9 +229,6 @@ def run_pcam(design, cache_schedules=True, reference_cycle_ns=10.0,
 
 
 def _make_cpu_target(cpu, channel_map, cycle_ns, returns, name):
-    # A generator process: CPU PEs only touch the kernel at transaction
-    # boundaries, so they ride the trampoline.  HW targets stay
-    # thread-backed because the CDFG interpreter calls comm at depth.
     def target(sim_process):
         while True:
             event, elapsed = cpu.run_until_event()
@@ -276,10 +249,29 @@ def _make_cpu_target(cpu, channel_map, cycle_ns, returns, name):
 
 
 def _make_hw_target(unit, channel_map, cycle_ns, returns, name):
+    # The unit's accumulated datapath cycles are applied to the kernel
+    # lazily, before each channel operation and at the end (transaction-
+    # boundary timing).
     def target(sim_process):
-        comm = _HWComm(unit, sim_process, channel_map, cycle_ns)
-        unit.bind_comm(comm)
-        returns[name] = unit.run()
-        comm._sync()  # apply trailing computation time
+        program = unit.run_gen()
+        synced = 0
+        reply = None
+        while True:
+            try:
+                kind, chan, payload = program.send(reply)
+            except StopIteration as stop:
+                returns[name] = stop.value
+                break
+            if unit.cycles > synced:
+                yield (unit.cycles - synced) * cycle_ns
+                synced = unit.cycles
+            channel = channel_map.get(chan)
+            if kind == "send":
+                reply = None
+                yield from channel.send_gen(sim_process, payload)
+            else:
+                reply = yield from channel.recv_gen(sim_process, payload)
+        if unit.cycles > synced:
+            yield (unit.cycles - synced) * cycle_ns
 
     return target

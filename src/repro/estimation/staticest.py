@@ -25,21 +25,20 @@ masters and genuine computation overlap are not modelled, which is why the
 search pipeline always re-evaluates survivors with the timed TLM.
 
 The application profile is captured by co-interpreting every process on
-the reference interpreter with blocking FIFO channels (one thread per
-process — no simulation kernel involved) and is cached in the artifact
-store under the ``app-profile`` kind, keyed by the processes' source
+the reference interpreter over FIFO channels — each process is an
+interpreter generator, run on one thread from a deterministic ready queue,
+with no simulation kernel involved — and is cached in the artifact store
+under the ``app-profile`` kind, keyed by the processes' source
 fingerprints — a sweep profiles each distinct application once.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-import time
 from collections import deque
 
 from ..artifacts import content_key, register_kind
-from ..cdfg.interp import Interpreter, InterpreterError
+from ..cdfg.interp import Interpreter
 from ..errors import InputError
 
 #: Artifact kind for captured application profiles.
@@ -154,61 +153,6 @@ def app_profile_key(design):
     return content_key("app-profile/v1", json.dumps(doc))
 
 
-class _BlockingChannels:
-    """Shared blocking FIFO word channels for the co-interpretation."""
-
-    def __init__(self, timeout):
-        self.cond = threading.Condition()
-        self.queues = {}
-        self.timeout = timeout
-        self.cancelled = False
-
-    def send(self, chan, values):
-        with self.cond:
-            self.queues.setdefault(chan, deque()).extend(values)
-            self.cond.notify_all()
-
-    def recv(self, chan, count):
-        deadline = time.monotonic() + self.timeout
-        with self.cond:
-            queue = self.queues.setdefault(chan, deque())
-            while len(queue) < count:
-                if self.cancelled:
-                    raise InterpreterError("profile run cancelled")
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise InterpreterError(
-                        "recv(%d, %d) starved during profiling" % (chan, count)
-                    )
-                self.cond.wait(remaining)
-            return [queue.popleft() for _ in range(count)]
-
-    def cancel(self):
-        with self.cond:
-            self.cancelled = True
-            self.cond.notify_all()
-
-
-class _ProcessComm:
-    """Per-process comm endpoint: logs traffic, delegates to the shared
-    channels."""
-
-    __slots__ = ("shared", "log")
-
-    def __init__(self, shared):
-        self.shared = shared
-        self.log = []  # (kind, chan, words)
-
-    def send(self, chan, values):
-        self.log.append(("send", chan, len(values)))
-        self.shared.send(chan, values)
-
-    def recv(self, chan, count):
-        values = self.shared.recv(chan, count)
-        self.log.append(("recv", chan, count))
-        return values
-
-
 def _aggregate(log, kind):
     """``[(chan, words, times)]`` sorted, from a raw per-process log."""
     totals = {}
@@ -233,21 +177,23 @@ def _frontend_ir(design, store):
     }, store
 
 
-def profile_design(design, store=None, timeout=60.0):
+def profile_design(design, store=None):
     """Profile ``design``'s application once; returns an :class:`AppProfile`.
 
-    Every process runs on its own reference :class:`Interpreter` thread;
-    channels are blocking FIFOs, so the co-interpretation follows the same
-    data dependencies as the TLM without any simulation kernel.  Block
-    counts and channel traffic are deterministic — they depend only on the
-    application data flow, never on thread scheduling.
+    Every process runs as a reference :class:`Interpreter` generator that
+    suspends at its ``comm`` ops.  One loop serves them from a FIFO ready
+    queue in design order: a ``send`` appends to the channel's word queue
+    and wakes a receiver it satisfies; a ``recv`` with too few words queued
+    blocks the process.  The co-interpretation follows the same data
+    dependencies as the TLM without any simulation kernel, so block counts
+    and channel traffic depend only on the application data flow.
 
     The result is cached in the artifact store (``app-profile`` kind);
     sweeps profile each distinct application exactly once.
 
-    Raises :class:`StaticEstimateError` when a process fails or the
-    co-interpretation starves past ``timeout`` (a process awaiting data
-    nobody sends).
+    Raises :class:`StaticEstimateError` naming the process as soon as one
+    fails, or naming the blocked processes as soon as none can run (a
+    process awaiting data nobody sends).
     """
     from ..tlm.generator import _resolve_store
 
@@ -258,57 +204,65 @@ def profile_design(design, store=None, timeout=60.0):
         return cached
 
     irs, store = _frontend_ir(design, store)
-    shared = _BlockingChannels(timeout)
-    comms = {}
-    counts = {}
-    errors = {}
-    threads = []
+    interps = {}
+    programs = {}
+    logs = {}
     for name, decl in design.processes.items():
-        comm = _ProcessComm(shared)
-        comms[name] = comm
-        interp = Interpreter(irs[name][0], comm=comm)
-
-        def run(name=name, interp=interp, decl=decl):
-            try:
-                interp.call(decl.entry, *decl.args)
-                counts[name] = interp.block_counts
-            except Exception as exc:  # noqa: BLE001 - reported to caller
-                errors[name] = exc
-
-        thread = threading.Thread(
-            target=run, name="profile:%s" % name, daemon=True,
-        )
-        threads.append(thread)
-    for thread in threads:
-        thread.start()
-    deadline = time.monotonic() + timeout + 1.0
-    for thread in threads:
-        thread.join(max(0.0, deadline - time.monotonic()))
-    stuck = [t.name.split(":", 1)[1] for t in threads if t.is_alive()]
-    if stuck or errors:
-        shared.cancel()
-        for thread in threads:
-            thread.join(1.0)
-        if errors:
-            name, exc = sorted(errors.items())[0]
+        interp = interps[name] = Interpreter(irs[name][0])
+        programs[name] = interp.call_gen(decl.entry, *decl.args)
+        logs[name] = []  # (kind, chan, words)
+    queues = {}  # chan -> deque of words
+    blocked = {}  # name -> (chan, count) while waiting in a recv
+    ready = deque((name, None) for name in design.processes)
+    while ready:
+        name, reply = ready.popleft()
+        program = programs[name]
+        log = logs[name]
+        try:
+            while True:
+                kind, chan, payload = program.send(reply)
+                queue = queues.setdefault(chan, deque())
+                if kind == "send":
+                    log.append(("send", chan, len(payload)))
+                    queue.extend(payload)
+                    reply = None
+                    for waiter, (want_chan, count) in list(blocked.items()):
+                        if want_chan == chan and len(queue) >= count:
+                            del blocked[waiter]
+                            logs[waiter].append(("recv", chan, count))
+                            ready.append(
+                                (waiter, [queue.popleft()
+                                          for _ in range(count)])
+                            )
+                elif len(queue) >= payload:
+                    log.append(("recv", chan, payload))
+                    reply = [queue.popleft() for _ in range(payload)]
+                else:
+                    blocked[name] = (chan, payload)
+                    break
+        except StopIteration:
+            continue
+        except Exception as exc:  # noqa: BLE001 - reported to caller
             raise StaticEstimateError(
                 "profiling process %r failed: %s: %s"
                 % (name, type(exc).__name__, exc)
-            )
+            ) from exc
+    if blocked:
         raise StaticEstimateError(
-            "profiling starved; blocked processes: %s" % ", ".join(stuck)
+            "profiling starved; blocked processes: %s" % ", ".join(
+                "%s (recv(%d, %d))" % (name, chan, count)
+                for name, (chan, count) in blocked.items()
+            )
         )
 
     profile = AppProfile(
         key,
         {
-            name: _counts_by_function(counts[name])
+            name: _counts_by_function(interps[name].block_counts)
             for name in design.processes
         },
-        {name: _aggregate(comms[name].log, "send")
-         for name in design.processes},
-        {name: _aggregate(comms[name].log, "recv")
-         for name in design.processes},
+        {name: _aggregate(logs[name], "send") for name in design.processes},
+        {name: _aggregate(logs[name], "recv") for name in design.processes},
     )
     store.put(PROFILE_KIND, key, profile)
     return profile

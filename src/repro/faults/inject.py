@@ -10,13 +10,12 @@ The injection point is the abstract bus channel: every PE interaction (TLM
 generated code, the cycle CPU, clock-stepped HW units) flows through a
 :class:`~repro.simkernel.channel.BusChannel`, so a :class:`FaultyChannel`
 proxy inserted into the :class:`~repro.simkernel.channel.ChannelMap` covers
-both engines and both model layers with one mechanism, and the injected
-behaviour is identical wherever the simulation runs.
+both model layers with one mechanism, and the injected behaviour is
+identical wherever the simulation runs.
 """
 
 from __future__ import annotations
 
-import inspect
 import random
 
 from ..simkernel import ChannelMap, SimulationError
@@ -51,7 +50,7 @@ class _ActiveChannelFault:
     Python hash randomisation cannot perturb it — and is drawn once per
     matching transaction.  The draw sequence therefore depends only on the
     channel's transaction order, which the deterministic kernel makes
-    identical across runs and engines.
+    identical across runs.
     """
 
     __slots__ = ("spec", "rng", "events")
@@ -155,18 +154,11 @@ class ActiveScenario:
 
     def wrap_target(self, target):
         """Wrap a process target so a ``halt`` crash unwinds it cleanly."""
-        if inspect.isgeneratorfunction(target):
-            def wrapped(sim_process):
-                try:
-                    yield from target(sim_process)
-                except ProcessHaltFault:
-                    pass
-        else:
-            def wrapped(sim_process):
-                try:
-                    target(sim_process)
-                except ProcessHaltFault:
-                    pass
+        def wrapped(sim_process):
+            try:
+                yield from target(sim_process)
+            except ProcessHaltFault:
+                pass
         return wrapped
 
     def counters(self):
@@ -233,9 +225,9 @@ class FaultyChannel:
     """A :class:`~repro.simkernel.channel.BusChannel` proxy that injects the
     scenario's faults around the real channel operations.
 
-    Presents the same interface as the wrapped channel (``send``/``recv``
-    plus generator twins, ``pending_words``), so the TLM channel binding,
-    the cycle CPU and the HW comm adapter all work unchanged.
+    Presents the same interface as the wrapped channel (``send_gen``/
+    ``recv_gen``, ``pending_words``), so the TLM channel binding, the cycle
+    CPU and the HW unit processes all work unchanged.
     """
 
     __slots__ = ("_active", "_channel", "_faults", "_kernel", "name")
@@ -288,33 +280,7 @@ class FaultyChannel:
                 dropped = True
         return (None if dropped else values), delay_ns
 
-    # -- BusChannel interface (thread backend) ------------------------------
-
-    def send(self, process, values):
-        values = list(values)
-        n_words = len(values)
-        stall_ns = self._pre(process)
-        if stall_ns:
-            process.wait(stall_ns)
-        values, delay_ns = self._outgoing(values)
-        if delay_ns:
-            process.wait(delay_ns)
-        if values is None:
-            # Dropped: the transfer still occupies the bus, but the payload
-            # never reaches the channel.
-            bus = self._channel.bus
-            if bus is not None:
-                bus.occupy(process, n_words)
-            return
-        self._channel.send(process, values)
-
-    def recv(self, process, count):
-        stall_ns = self._pre(process)
-        if stall_ns:
-            process.wait(stall_ns)
-        return self._channel.recv(process, count)
-
-    # -- BusChannel interface (generator backend) ---------------------------
+    # -- BusChannel interface ------------------------------------------------
 
     def send_gen(self, process, values):
         values = list(values)
@@ -326,6 +292,8 @@ class FaultyChannel:
         if delay_ns:
             yield delay_ns
         if values is None:
+            # Dropped: the transfer still occupies the bus, but the payload
+            # never reaches the channel.
             bus = self._channel.bus
             if bus is not None:
                 yield from bus.occupy_gen(process, n_words)

@@ -17,7 +17,7 @@ PEs interact at transaction level:
   Each fires per transaction with probability ``rate`` drawn from a
   dedicated ``random.Random`` seeded from ``(scenario seed, fault index)``,
   so the decision sequence depends only on that channel's transaction order
-  — which is deterministic and identical across kernel engines.
+  — which is deterministic and identical across repeated runs.
 
 * **process faults** (:class:`ProcessFault`) — armed against a named
   process and triggered at its first channel transaction at-or-after
@@ -186,7 +186,7 @@ class FaultScenario:
     same scenario object can be attached to many runs; each run activates
     its own counter state, so the per-run fault counters on
     ``TLMResult.fault_stats`` / ``BoardResult.fault_stats`` are independent
-    and — for a fixed seed — identical across repeated runs and engines.
+    and — for a fixed seed — identical across repeated runs.
     """
 
     def __init__(self, name="scenario", seed=0, faults=()):

@@ -50,7 +50,7 @@ class RTOSModel:
 class CPUShare:
     """Runtime processor arbiter for one RTOS-scheduled PE.
 
-    ``execute`` plays the role of running ``cycles`` worth of annotated
+    ``execute_gen`` plays the role of running ``cycles`` worth of annotated
     delay on the shared processor: the calling process blocks until the
     processor is free (respecting policy order among waiters), pays the
     context-switch cost when it displaces another process, and holds the
@@ -68,7 +68,7 @@ class CPUShare:
         self.busy_cycles = 0
         self._arrival = 0
 
-    def execute(self, sim_process, proc_name, cycles):
+    def execute_gen(self, sim_process, proc_name, cycles):
         """Run ``cycles`` of process ``proc_name`` on the shared CPU."""
         if cycles <= 0:
             return
@@ -76,25 +76,6 @@ class CPUShare:
         # Queue until the processor is free.  Priority is approximated by
         # retry order: the kernel resumes waiters deterministically and each
         # re-checks; FIFO fairness comes from arrival stamps.
-        self._arrival += 1
-        while kernel.now < self.busy_until:
-            sim_process.wait(self.busy_until - kernel.now)
-        total = cycles
-        if self.last_running != proc_name:
-            total += self.model.context_switch_cycles
-            if self.last_running is not None:
-                self.n_context_switches += 1
-            self.last_running = proc_name
-        duration = total * self.cycle_ns
-        self.busy_until = kernel.now + duration
-        self.busy_cycles += total
-        sim_process.wait(duration)
-
-    def execute_gen(self, sim_process, proc_name, cycles):
-        """Generator twin of :meth:`execute` for generator-backed processes."""
-        if cycles <= 0:
-            return
-        kernel = self.kernel
         self._arrival += 1
         while kernel.now < self.busy_until:
             yield self.busy_until - kernel.now

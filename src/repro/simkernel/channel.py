@@ -2,7 +2,8 @@
 
 Implements the transaction-level bus channel of Yu/Abdi/Gajski (the paper's
 reference [16]): processes exchange messages over a shared bus through
-blocking ``send``/``recv`` calls.  The channel model captures the two costs
+blocking ``send_gen``/``recv_gen`` generator operations (``yield from``
+them inside a kernel process).  The channel model captures the two costs
 that matter at transaction level — *transfer time* (bus words per cycle plus
 per-transaction arbitration overhead) and *contention* (one transaction at a
 time per bus) — without pin-level detail.
@@ -46,25 +47,13 @@ class Bus:
         )
         return cycles * self.cycle_ns
 
-    def occupy(self, process, n_words):
-        """Block ``process`` until the bus is free, then hold it for the
+    def occupy_gen(self, process, n_words):
+        """Wait until the bus is free, then hold it for an ``n_words``
         transfer; returns the completion time.
 
         The free-check loops: another master woken at the same instant may
         have re-acquired the bus first, so each wake-up must re-arbitrate.
         """
-        kernel = self.kernel
-        while kernel.now < self.busy_until:
-            process.wait(self.busy_until - kernel.now)
-        duration = self.transfer_time(n_words)
-        self.busy_until = kernel.now + duration
-        self.total_transactions += 1
-        self.total_words += n_words
-        process.wait(duration)
-        return kernel.now
-
-    def occupy_gen(self, process, n_words):
-        """Generator twin of :meth:`occupy` for generator-backed processes."""
         kernel = self.kernel
         while kernel.now < self.busy_until:
             yield self.busy_until - kernel.now
@@ -79,9 +68,9 @@ class Bus:
 class BusChannel:
     """A blocking FIFO message channel mapped onto a :class:`Bus`.
 
-    ``send`` occupies the bus for the message's transfer time and deposits
-    the data; ``recv`` blocks until enough words have arrived.  Word
-    granularity matches CMini array elements.
+    ``send_gen`` occupies the bus for the message's transfer time and
+    deposits the data; ``recv_gen`` blocks until enough words have
+    arrived.  Word granularity matches CMini array elements.
     """
 
     def __init__(self, kernel, name, bus=None):
@@ -94,17 +83,8 @@ class BusChannel:
 
     # -- producer side -------------------------------------------------------
 
-    def send(self, process, values):
-        """Send ``values`` (a sequence of words) over the channel."""
-        values = list(values)
-        if self.bus is not None:
-            self.bus.occupy(process, len(values))
-        self._data.extend(values)
-        self.total_sent += len(values)
-        self._wake_receivers()
-
     def send_gen(self, process, values):
-        """Generator twin of :meth:`send` for generator-backed processes."""
+        """Send ``values`` (a sequence of words) over the channel."""
         values = list(values)
         if self.bus is not None:
             yield from self.bus.occupy_gen(process, len(values))
@@ -114,17 +94,8 @@ class BusChannel:
 
     # -- consumer side -------------------------------------------------------
 
-    def recv(self, process, count):
-        """Receive exactly ``count`` words, blocking until available."""
-        while len(self._data) < count:
-            process.blocked_on = "recv(%s, %d)" % (self.name, count)
-            self._waiting_receivers.append(process)
-            process._suspend()
-        taken = [self._data.popleft() for _ in range(count)]
-        return taken
-
     def recv_gen(self, process, count):
-        """Generator twin of :meth:`recv` for generator-backed processes."""
+        """Receive exactly ``count`` words, blocking until available."""
         data = self._data
         while len(data) < count:
             process.blocked_on = "recv(%s, %d)" % (self.name, count)
@@ -162,21 +133,11 @@ class RecordingChannel:
         object.__setattr__(self, "_recorder", recorder)
         object.__setattr__(self, "_chan_id", chan_id)
 
-    def send(self, process, values):
-        values = list(values)
-        self._recorder.record(process.name, OP_SEND, self._chan_id,
-                              len(values))
-        self._channel.send(process, values)
-
     def send_gen(self, process, values):
         values = list(values)
         self._recorder.record(process.name, OP_SEND, self._chan_id,
                               len(values))
         return self._channel.send_gen(process, values)
-
-    def recv(self, process, count):
-        self._recorder.record(process.name, OP_RECV, self._chan_id, count)
-        return self._channel.recv(process, count)
 
     def recv_gen(self, process, count):
         self._recorder.record(process.name, OP_RECV, self._chan_id, count)

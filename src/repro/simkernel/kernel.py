@@ -6,28 +6,19 @@ SystemC's cooperative model: exactly one process runs at a time, processes
 suspend via ``wait`` (time) or by blocking on a channel, and simulated time
 advances only between process activations.
 
-Two process backends share one scheduler:
-
-* :class:`SimProcess` — a worker thread (like SystemC's QuickThreads), so a
-  blocking channel access may occur at any call depth inside generated code.
-  Each activation costs an OS context switch plus two semaphore handoffs.
-* :class:`GeneratorProcess` — a Python generator driven by a trampoline in
-  :meth:`Kernel.run`.  The process yields a duration to wait, or ``None``
-  when blocked on a channel; resuming is a plain ``gen.send`` with no thread
-  machinery.  This is the fast path used by coroutine-emitted TLM code.
-
-:meth:`Kernel.add_process` picks the backend automatically: a generator
-function becomes a :class:`GeneratorProcess`, anything else runs on a
-thread.  Both kinds may block on the same channels in one simulation.
-Execution is strictly sequential either way, so results are deterministic
-and independent of the backend mix.
+Every process is a :class:`GeneratorProcess`: a Python generator driven by
+the scheduling loop in :meth:`Kernel.run`.  The process yields a duration
+to wait, or ``None`` when blocked on a channel; resuming it is a plain
+``gen.send``.  Channels, buses, the RTOS share and the fault proxies expose
+generator operations (``send_gen`` and friends) that compose through
+``yield from``, so a process may block at any call depth of generated
+code.  Execution is strictly sequential, so results are deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
 import inspect
-import threading
 import time
 from collections import deque
 from itertools import islice
@@ -178,10 +169,6 @@ class TraceRecorder:
         )
 
 
-class _ProcessExit(Exception):
-    """Internal: unwinds a process thread when the simulation stops early."""
-
-
 #: Process count at or above which ``scheduler="auto"`` switches the kernel
 #: from the binary heap to the indexed event wheel.  Below this the heap's
 #: C-implemented push/pop wins; above it, traffic-style runs share so many
@@ -225,119 +212,32 @@ def sim_totals_delta(before, after=None):
     return {key: after[key] - before[key] for key in before}
 
 
-class SimProcess:
-    """One simulation process (SC_THREAD equivalent).
-
-    ``target`` is called with the process as its single argument; it runs on
-    a dedicated thread and must use :meth:`wait` / channel operations for all
-    synchronisation.
-    """
-
-    is_generator = False
-
-    def __init__(self, kernel, name, target):
-        self.kernel = kernel
-        self.name = name
-        self.target = target
-        self.finished = False
-        self.error = None
-        self.blocked_on = None  # description while blocked on a channel
-        self._go = threading.Semaphore(0)
-        self._yielded = threading.Semaphore(0)
-        self._thread = threading.Thread(
-            target=self._run, name="sim-%s" % name, daemon=True
-        )
-        self._started = False
-
-    # -- called from the kernel thread --------------------------------------
-
-    def _start(self):
-        self._started = True
-        self._thread.start()
-
-    def _resume(self):
-        """Hand control to the process and wait until it yields back."""
-        if not self._started:
-            self._start()
-        self._go.release()
-        self._yielded.acquire()
-        if self.error is not None:
-            raise SimulationError(
-                "process %r failed: %r" % (self.name, self.error)
-            ) from self.error
-
-    def _kill(self):
-        """Unwind the worker thread (simulation is stopping)."""
-        if self._started and not self.finished:
-            self._go.release()
-            self._yielded.acquire()
-        self.finished = True
-
-    # -- called from the process thread --------------------------------------
-
-    def _run(self):
-        self._go.acquire()
-        try:
-            self.target(self)
-        except _ProcessExit:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported to the kernel
-            self.error = exc
-        finally:
-            self.finished = True
-            self._yielded.release()
-
-    def wait(self, duration):
-        """Suspend this process for ``duration`` time units."""
-        if duration < 0:
-            raise SimulationError("cannot wait a negative duration")
-        self.kernel._schedule(self.kernel.now + duration, self)
-        self._suspend()
-
-    def _suspend(self):
-        """Yield to the kernel; returns when the kernel resumes us."""
-        self._yielded.release()
-        self._go.acquire()
-        if self.kernel._stopping:
-            raise _ProcessExit()
-
-    def __repr__(self):
-        state = "finished" if self.finished else (self.blocked_on or "ready")
-        return "SimProcess(%r, %s)" % (self.name, state)
-
-
 class GeneratorProcess:
-    """One simulation process backed by a generator (the fast path).
+    """One simulation process (SC_THREAD equivalent), backed by a generator.
 
-    ``target(process)`` must return a generator.  The yield protocol:
+    :meth:`Kernel.add_process` builds it from ``target(process)``, which
+    must return a generator.  The yield protocol:
 
     * ``yield duration`` — suspend for ``duration`` time units;
     * ``yield None`` — block; a channel will :meth:`Kernel._wake` us.
 
-    Channel helpers expose generator twins (``recv_gen`` etc.) so blocking
-    composes through ``yield from`` instead of requiring a private stack.
+    Channel helpers expose generator operations (``recv_gen`` etc.), so
+    blocking composes through ``yield from`` at any call depth.
     """
 
-    is_generator = True
+    __slots__ = ("kernel", "name", "finished", "error", "blocked_on", "_gen")
 
-    __slots__ = (
-        "kernel", "name", "target", "finished", "error", "blocked_on", "_gen"
-    )
-
-    def __init__(self, kernel, name, target):
+    def __init__(self, kernel, name):
         self.kernel = kernel
         self.name = name
-        self.target = target
         self.finished = False
         self.error = None
         self.blocked_on = None  # description while blocked on a channel
-        self._gen = None
+        self._gen = None  # set by Kernel.add_process
 
     def _resume(self):
         """Advance the generator to its next suspension point."""
         gen = self._gen
-        if gen is None:
-            gen = self._gen = self.target(self)
         try:
             request = gen.send(None)
         except StopIteration:
@@ -362,21 +262,9 @@ class GeneratorProcess:
 
     def _kill(self):
         """Close the generator (simulation is stopping)."""
-        if self._gen is not None and not self.finished:
+        if not self.finished:
             self._gen.close()
         self.finished = True
-
-    def wait(self, duration):
-        raise SimulationError(
-            "generator-backed process %r cannot wait imperatively; "
-            "yield the duration instead" % self.name
-        )
-
-    def _suspend(self):
-        raise SimulationError(
-            "generator-backed process %r cannot block imperatively; "
-            "use the channel's generator interface" % self.name
-        )
 
     def __repr__(self):
         state = "finished" if self.finished else (self.blocked_on or "ready")
@@ -423,7 +311,6 @@ class Kernel:
         self._queue = []  # heap of (time, seq, process)
         self._ready = deque()  # (seq, process) woken at the current time
         self._seq = 0
-        self._stopping = False
         self.trace = None  # optional callable(time, process_name)
         self.activations = 0
         self.events_scheduled = 0
@@ -444,15 +331,20 @@ class Kernel:
         self._wheel_free = []
 
     def add_process(self, name, target):
-        """Register a process; ``target(process)`` runs when simulation starts.
+        """Register a process; ``target(process)`` must return a generator,
+        whose body starts running when the simulation starts.
 
-        Generator functions get the trampoline backend; plain callables run
-        on a worker thread.
+        Raises :class:`SimulationError` naming the process when ``target``
+        is not a generator function.
         """
-        if inspect.isgeneratorfunction(target):
-            process = GeneratorProcess(self, name, target)
-        else:
-            process = SimProcess(self, name, target)
+        if not inspect.isgeneratorfunction(target):
+            raise SimulationError(
+                "process %r: target %r is not a generator function (a "
+                "process yields durations instead of calling wait)"
+                % (name, getattr(target, "__name__", target))
+            )
+        process = GeneratorProcess(self, name)
+        process._gen = target(process)
         self.processes.append(process)
         self._schedule(0.0, process)
         return process
@@ -743,7 +635,6 @@ class Kernel:
                     bucket[2] = cur
                     continue
                 cur0 = cur
-                skips = 0
                 # The iterator picks up same-bucket 0-wait appends on its
                 # own, so no bound/refresh bookkeeping is needed, and a
                 # finished process is caught by the StopIteration arm of
@@ -751,20 +642,9 @@ class Kernel:
                 # hot path carries no ``finished`` test either.
                 for process in islice(procs, cur, None):
                     cur += 1
-                    try:
-                        gen = process._gen
-                    except AttributeError:  # thread-backed process
-                        gen = None
-                    if gen is None:
-                        if process.finished:
-                            skips += 1
-                            continue
-                        process._resume()
-                        if ready:
-                            break
-                        continue
                     # Inline GeneratorProcess._resume + the wheel push: the
                     # call pair dominates drain cost at traffic scale.
+                    gen = process._gen
                     try:
                         request = gen.send(None)
                     except StopIteration:
@@ -772,7 +652,7 @@ class Kernel:
                         continue
                     except BaseException as exc:  # noqa: BLE001
                         bucket[2] = cur
-                        activations += cur - cur0 - skips
+                        activations += cur - cur0
                         cur0 = cur
                         process.finished = True
                         process.error = exc
@@ -782,7 +662,7 @@ class Kernel:
                     if request is not None:
                         if request < 0:
                             bucket[2] = cur
-                            activations += cur - cur0 - skips
+                            activations += cur - cur0
                             cur0 = cur
                             error = SimulationError(
                                 "cannot wait a negative duration"
@@ -826,10 +706,9 @@ class Kernel:
                     elif ready:
                         break
                 bucket[2] = cur
-                # Every drained event except finished-process skips is one
-                # activation; counting arithmetically keeps the hot loop
-                # one increment shorter.
-                activations += cur - cur0 - skips
+                # Every drained event is one activation; counting
+                # arithmetically keeps the hot loop one increment shorter.
+                activations += cur - cur0
             return False
         finally:
             self.activations += activations
@@ -1082,16 +961,12 @@ class Kernel:
         return self._process_summary(unfinished) or "none"
 
     def stop(self):
-        """Terminate all unfinished processes.
-
-        Unwinds thread-backed processes and closes generator-backed ones;
-        after ``stop()`` the kernel can no longer resume.
-        """
+        """Terminate all unfinished processes by closing their generators;
+        after ``stop()`` the kernel can no longer resume them."""
         self._shutdown()
 
     def _shutdown(self):
-        """Unwind any still-running processes."""
-        self._stopping = True
+        """Close every still-running process."""
         for process in self.processes:
             if not process.finished:
                 process._kill()

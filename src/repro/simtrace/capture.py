@@ -23,9 +23,8 @@ from .trace import (
 __all__ = ["capture_tlm_trace"]
 
 
-def capture_tlm_trace(design, granularity="transaction", engine="coroutine",
-                      optimize=True, quantum=None, store=None, report=None,
-                      watchdog=None):
+def capture_tlm_trace(design, granularity="transaction", optimize=True,
+                      quantum=None, store=None, report=None, watchdog=None):
     """One recorded timed simulation of ``design``.
 
     Returns ``(trace, tlm_result)`` — the result is the full
@@ -39,7 +38,7 @@ def capture_tlm_trace(design, granularity="transaction", engine="coroutine",
     design.validate()
     model = generate_tlm(
         design, timed=True, granularity=granularity, report=report,
-        engine=engine, optimize=optimize, quantum=quantum, store=store,
+        optimize=optimize, quantum=quantum, store=store,
     )
     recorder = TraceRecorder()
     result = model.run(watchdog=watchdog, record=recorder)

@@ -174,29 +174,10 @@ class ArbitratedBus(Bus):
 
     # -- master interface ----------------------------------------------------
 
-    def occupy(self, process, n_words):
-        """Arbitrated twin of :meth:`Bus.occupy` (thread-backed masters)."""
-        kernel = self.kernel
-        if (not self._wait_queue and not self._grant_pending
-                and kernel.now >= self.busy_until):
-            self._rr_last = process.name
-            if self._recorder is not None:
-                self._recorder.record_grant(
-                    self.name, process.name, n_words, kernel.now,
-                )
-            duration = self._occupy_now(n_words)
-            process.wait(duration)
-            self._release()
-            return kernel.now
-        entry = self._enqueue(process, n_words)
-        process._suspend()  # woken only when _release grants us the bus
-        duration = self._finish_queued_grant(entry, n_words)
-        process.wait(duration)
-        self._release()
-        return kernel.now
-
     def occupy_gen(self, process, n_words):
-        """Arbitrated twin of :meth:`Bus.occupy_gen` (generator masters)."""
+        """Arbitrated :meth:`Bus.occupy_gen`: an uncontended master takes
+        the bus at once; a contended one queues and sleeps until
+        :meth:`_release` grants it the bus."""
         kernel = self.kernel
         if (not self._wait_queue and not self._grant_pending
                 and kernel.now >= self.busy_until):

@@ -26,8 +26,8 @@ frontend   ``source_fingerprint(source)``                lowered IR + its
 annotate   ``ir_fp / pum_fp / i<icache> / d<dcache>``    per-function block
                                                          delays + their total
                                                          (``tlm-delays``)
-codegen    annotation key × timed/coroutine/granularity/ generated module
-           optimize/quantum flags                        source (``tlm-gensrc``),
+codegen    annotation key × timed/granularity/optimize/  generated module
+           quantum flags                                 source (``tlm-gensrc``),
                                                          compiled code object
                                                          (``tlm-code``)
 ========== ============================================= ==================
@@ -56,9 +56,9 @@ from ..cdfg.builder import build_program
 from ..cdfg.irhash import ir_fingerprint, source_fingerprint
 from ..cfrontend.semantic import parse_and_analyze
 from ..codegen.pygen import (
-    _suspending_functions,
     generate_source,
     program_from_source,
+    suspending_functions,
 )
 from ..estimation.annotator import AnnotationReport, annotate_ir_program
 from ..pum.loader import pum_fingerprint
@@ -282,8 +282,8 @@ def _annotate_stage(store, report, ir_program, pum, key, stamp=True):
     ), cached
 
 
-def _codegen_stage(store, report, ir_program, key, timed, coroutine,
-                   granularity, optimize, module_name):
+def _codegen_stage(store, report, ir_program, key, timed, granularity,
+                   optimize, module_name):
     """Annotated IR → generated source → compiled, executable program.
 
     The *source* is what the disk store holds (portable, diffable); the
@@ -295,11 +295,9 @@ def _codegen_stage(store, report, ir_program, key, timed, coroutine,
     cached = store.get(GENSRC_KIND, key)
     if cached is None:
         source = generate_source(
-            ir_program, timed, coroutine=coroutine, granularity=granularity,
-            optimize=optimize,
+            ir_program, timed, granularity=granularity, optimize=optimize,
         )
-        suspending = _suspending_functions(ir_program, timed, granularity) \
-            if coroutine else frozenset()
+        suspending = suspending_functions(ir_program, timed, granularity)
         store.put(GENSRC_KIND, key, {
             "source": source, "suspending": sorted(suspending),
         })
@@ -314,17 +312,16 @@ def _codegen_stage(store, report, ir_program, key, timed, coroutine,
         code = compile(source, module_name, "exec")
         store.put(CODE_KIND, code_key, code)
     generated = program_from_source(
-        source, ir_program, timed=timed, coroutine=coroutine,
-        granularity=granularity, optimize=optimize, suspending=suspending,
-        code=code,
+        source, ir_program, timed=timed, granularity=granularity,
+        optimize=optimize, suspending=suspending, code=code,
     )
     report._account("codegen", time.perf_counter() - start, hit)
     return generated
 
 
 def generate_tlm(design, timed=True, granularity="transaction",
-                 n_frames=None, report=None, engine="coroutine",
-                 optimize=True, quantum=None, store=None):
+                 n_frames=None, report=None, optimize=True, quantum=None,
+                 store=None):
     """Generate an executable TLM for ``design``.
 
     Args:
@@ -334,8 +331,6 @@ def generate_tlm(design, timed=True, granularity="transaction",
             every block) or ``"quantum"`` (sync every ``quantum`` blocks).
         n_frames: unused hook kept for API symmetry with workload factories.
         report: optional :class:`GenerationReport` to fill with timings.
-        engine: ``"coroutine"`` (generator trampoline, the fast path) or
-            ``"thread"`` (worker threads, the original backend).
         optimize: enable the optimizing code generator; ``False`` emits the
             original unoptimized source (the equivalence baseline).
         quantum: waits coalesced per kernel event under ``"quantum"``
@@ -348,20 +343,15 @@ def generate_tlm(design, timed=True, granularity="transaction",
         a ready-to-run :class:`~repro.tlm.model.TLModel`.
 
     ``makespan_cycles`` of the returned model's runs is independent of
-    ``engine``, ``optimize`` and cache warmth; only wall-clock speed
-    changes.
+    ``optimize`` and cache warmth; only wall-clock speed changes.
     """
     design.validate()
-    model = TLModel(design, timed, granularity, engine=engine,
-                    quantum=quantum)
+    model = TLModel(design, timed, granularity, quantum=quantum)
     if report is None:
         report = GenerationReport(design.name, timed)
     model.report = report
     store = _resolve_store(store)
-    coroutine = engine == "coroutine"
-    flags = "t%d/co%d/g%s/opt%d/q%s" % (
-        timed, coroutine, granularity, optimize, quantum,
-    )
+    flags = "t%d/g%s/opt%d/q%s" % (timed, granularity, optimize, quantum)
 
     for name, decl in design.processes.items():
         ir_program, ir_fp = _frontend_stage(store, report, decl)
@@ -378,8 +368,8 @@ def generate_tlm(design, timed=True, granularity="transaction",
             codegen_key = ir_fp + "/untimed/" + flags
 
         generated = _codegen_stage(
-            store, report, ir_program, codegen_key, timed, coroutine,
-            granularity, optimize,
+            store, report, ir_program, codegen_key, timed, granularity,
+            optimize,
             module_name="<tlm:%s:%s>" % (design.name, name),
         )
         model.add_generated_process(decl, generated)

@@ -5,17 +5,12 @@ channels + one simulation process per application process, each running its
 generated (timed or functional) native code.  ``run()`` executes the whole
 system and returns a :class:`TLMResult` with the performance estimates.
 
-Two execution engines share identical simulation semantics:
-
-* ``engine="coroutine"`` (default) — generated processes that can suspend
-  are generator functions driven by the kernel trampoline; activations are
-  plain ``gen.send`` calls.
-* ``engine="thread"`` — every process runs on a worker thread with
-  semaphore handoffs (the original backend, kept as the compatibility
-  fallback and as the speed baseline).
-
-The reported ``makespan_cycles`` is bit-identical across engines,
-granularities and codegen optimization levels.
+Every process is a kernel generator process.  An entry function that can
+suspend is a generator function and is driven with ``yield from``; one that
+never suspends (a comm-free program at transaction granularity) is called
+directly inside a generator target, which then applies the trailing
+accumulated delay.  The reported ``makespan_cycles`` is bit-identical
+across granularities and codegen optimization levels.
 """
 
 from __future__ import annotations
@@ -33,8 +28,6 @@ from ..simkernel.kernel import SIM_TOTALS
 from ..codegen.runtime import ProcessContext, RecordingContext
 from .contention import ArbitratedBus, build_bus, collect_bus_stats
 
-ENGINES = ("coroutine", "thread")
-
 #: One reference cycle in simulated nanoseconds (100 MHz reference clock);
 #: every makespan-in-cycles conversion in the repo divides by this.
 REFERENCE_CYCLE_NS = 10.0
@@ -48,12 +41,6 @@ class ChannelBinding:
 
     def __init__(self, channel_map):
         self.channel_map = channel_map
-
-    def send(self, sim_process, chan_id, values):
-        self.channel_map.get(chan_id).send(sim_process, values)
-
-    def recv(self, sim_process, chan_id, count):
-        return self.channel_map.get(chan_id).recv(sim_process, count)
 
     def send_gen(self, sim_process, chan_id, values):
         yield from self.channel_map.get(chan_id).send_gen(sim_process, values)
@@ -95,8 +82,8 @@ class TLMResult:
         self.processes = processes  # name -> ProcessResult
         self.cycle_ns = cycle_ns
         #: scheduler counters of the run (``activations``,
-        #: ``events_scheduled``, ``channel_fastpath_hits``, ``scheduler``,
-        #: ``engine``)
+        #: ``events_scheduled``, ``channel_fastpath_hits``,
+        #: ``buckets_drained``, ``scheduler``)
         self.kernel_stats = kernel_stats or {}
         #: fault-injection counters when the run had a
         #: :class:`~repro.faults.FaultScenario` attached (``{}`` otherwise)
@@ -143,15 +130,11 @@ class TLModel:
     """A generated, simulatable transaction-level model."""
 
     def __init__(self, design, timed, granularity="transaction",
-                 reference_cycle_ns=REFERENCE_CYCLE_NS, engine="coroutine",
-                 quantum=None):
-        if engine not in ENGINES:
-            raise ValueError("engine must be one of %s" % (ENGINES,))
+                 reference_cycle_ns=REFERENCE_CYCLE_NS, quantum=None):
         self.design = design
         self.timed = timed
         self.granularity = granularity
         self.reference_cycle_ns = reference_cycle_ns
-        self.engine = engine
         self.quantum = quantum
         #: name -> (GeneratedProgram, ProcessDecl); filled by the generator.
         self.programs = {}
@@ -237,9 +220,6 @@ class TLModel:
         returns = {}
         for name, (generated, decl) in self.programs.items():
             pe = self.design.pes[decl.pe_name]
-            as_generator = (
-                generated.coroutine and generated.is_suspending(decl.entry)
-            )
             kwargs = {}
             if self.quantum is not None:
                 kwargs["quantum"] = self.quantum
@@ -255,13 +235,10 @@ class TLModel:
                 sim_process=None,  # bound below
                 granularity=self.granularity,
                 cpu_share=shares.get(decl.pe_name),
-                defer_sync=as_generator,
                 **kwargs,
             )
             contexts[name] = ctx
-            target = self._make_target(
-                generated, decl, ctx, returns, as_generator
-            )
+            target = self._make_target(generated, decl, ctx, returns)
             if active is not None:
                 target = active.wrap_target(target)
             sim_process = kernel.add_process(name, target)
@@ -282,7 +259,6 @@ class TLModel:
                 returns.get(name),
             )
         stats = kernel.kernel_stats()
-        stats["engine"] = self.engine
         bus_stats = collect_bus_stats(buses)
         for per_bus in bus_stats.values():
             SIM_TOTALS["bus_grants"] += per_bus["grants"]
@@ -300,11 +276,11 @@ class TLModel:
         )
 
     @staticmethod
-    def _make_target(generated, decl, ctx, returns, as_generator):
+    def _make_target(generated, decl, ctx, returns):
         entry = generated.entry(decl.entry)
         args = decl.args
 
-        if as_generator:
+        if generated.is_suspending(decl.entry):
             def target(sim_process):
                 glob = generated.fresh_globals()
                 returns[decl.name] = yield from entry(ctx, glob, *args)
@@ -313,6 +289,6 @@ class TLModel:
             def target(sim_process):
                 glob = generated.fresh_globals()
                 returns[decl.name] = entry(ctx, glob, *args)
-                ctx.sync()  # apply any trailing accumulated delay
+                yield from ctx.sync_gen()  # trailing accumulated delay
 
         return target

@@ -234,8 +234,8 @@ class TrafficProfile:
 
 
 def capture_traffic_profile(design, granularity="transaction",
-                            engine="coroutine", optimize=True, quantum=None,
-                            store=None, record_grants=False):
+                            optimize=True, quantum=None, store=None,
+                            record_grants=False):
     """Record one instance's op streams for :func:`run_traffic`.
 
     By default the recording run uses a copy of ``design`` with dynamic
@@ -255,8 +255,8 @@ def capture_traffic_profile(design, granularity="transaction",
             getattr(bus, "policy", None) is not None
             for bus in design.buses.values()):
         armed = generate_tlm(
-            design, timed=True, granularity=granularity, engine=engine,
-            optimize=optimize, quantum=quantum, store=store,
+            design, timed=True, granularity=granularity, optimize=optimize,
+            quantum=quantum, store=store,
         )
         try:
             armed.run(record=recorder)
@@ -273,8 +273,8 @@ def capture_traffic_profile(design, granularity="transaction",
             bus.policy = None
             bus.priorities = {}
         model = generate_tlm(
-            plain, timed=True, granularity=granularity, engine=engine,
-            optimize=optimize, quantum=quantum, store=store,
+            plain, timed=True, granularity=granularity, optimize=optimize,
+            quantum=quantum, store=store,
         )
         model.run(record=recorder)
     process_cycle_ns = {}
@@ -361,9 +361,9 @@ def _instance_target(ops, cycle_ns, share, channel_map, proc_name,
     return target
 
 
-def run_traffic(design, spec, granularity="transaction", engine="coroutine",
-                optimize=True, quantum=None, scheduler="auto", faults=None,
-                watchdog=None, store=None, profile=None, replay="off"):
+def run_traffic(design, spec, granularity="transaction", optimize=True,
+                quantum=None, scheduler="auto", faults=None, watchdog=None,
+                store=None, profile=None, replay="off"):
     """Simulate ``spec.n_instances`` instances of ``design`` under the
     spec's arrival process; returns a :class:`TrafficResult`.
 
@@ -392,7 +392,7 @@ def run_traffic(design, spec, granularity="transaction", engine="coroutine",
         from .traffic_replay import replay_traffic_sweep
 
         results, stats = replay_traffic_sweep(
-            design, [spec], granularity=granularity, engine=engine,
+            design, [spec], granularity=granularity,
             optimize=optimize, quantum=quantum, scheduler=scheduler,
             store=store, profile=profile, validate_n=0,
         )
@@ -401,8 +401,8 @@ def run_traffic(design, spec, granularity="transaction", engine="coroutine",
         return result
     if profile is None:
         profile = capture_traffic_profile(
-            design, granularity=granularity, engine=engine,
-            optimize=optimize, quantum=quantum, store=store,
+            design, granularity=granularity, optimize=optimize,
+            quantum=quantum, store=store,
         )
     reference_cycle_ns = profile.reference_cycle_ns
     kernel = Kernel(scheduler=scheduler)
@@ -481,7 +481,6 @@ def run_traffic(design, spec, granularity="transaction", engine="coroutine",
         for i in range(n)
     ]
     kernel_stats = kernel.kernel_stats()
-    kernel_stats["engine"] = engine
     bus_stats = collect_bus_stats(buses)
     for per_bus in bus_stats.values():
         SIM_TOTALS["bus_grants"] += per_bus["grants"]

@@ -633,9 +633,8 @@ def _identical(replayed, reference):
 
 
 def replay_traffic_sweep(design, specs, granularity="transaction",
-                         engine="coroutine", optimize=True, quantum=None,
-                         scheduler="auto", store=None, profile=None,
-                         validate_n=1):
+                         optimize=True, quantum=None, scheduler="auto",
+                         store=None, profile=None, validate_n=1):
     """Evaluate K traffic points of one design, replaying where exact.
 
     Captures ONE instance's trace (with per-bus grant streams when the
@@ -671,7 +670,7 @@ def replay_traffic_sweep(design, specs, granularity="transaction",
     def simulate(spec):
         stats["simulated"] += 1
         return run_traffic(
-            design, spec, granularity=granularity, engine=engine,
+            design, spec, granularity=granularity,
             optimize=optimize, quantum=quantum, scheduler=scheduler,
             store=store, profile=profile,
         )
@@ -684,9 +683,8 @@ def replay_traffic_sweep(design, specs, granularity="transaction",
 
     if profile is None:
         profile = capture_traffic_profile(
-            design, granularity=granularity, engine=engine,
-            optimize=optimize, quantum=quantum, store=store,
-            record_grants=True,
+            design, granularity=granularity, optimize=optimize,
+            quantum=quantum, store=store, record_grants=True,
         )
         stats["captured"] = 1
     try:

@@ -10,11 +10,13 @@ class _RecordingComm:
     def __init__(self):
         self.events = []
 
-    def send(self, sim_process, chan, values):
+    def send_gen(self, sim_process, chan, values):
         self.events.append(("send", chan, list(values)))
+        yield from ()
 
-    def recv(self, sim_process, chan, count):
+    def recv_gen(self, sim_process, chan, count):
         self.events.append(("recv", chan, count))
+        yield from ()
         return [0] * count
 
 
@@ -29,7 +31,7 @@ class TestStandaloneAccounting:
     def test_sync_without_kernel_clears_pending(self):
         ctx = ProcessContext()
         ctx.wait(10)
-        ctx.sync()
+        assert list(ctx.sync_gen()) == []  # no kernel: nothing to wait on
         assert ctx.pending_cycles == 0
         assert ctx.total_cycles == 10
 
@@ -40,9 +42,9 @@ class TestStandaloneAccounting:
     def test_comm_without_binding_raises(self):
         ctx = ProcessContext()
         with pytest.raises(RuntimeError):
-            ctx.send(1, [1, 2])
+            list(ctx.send_gen(1, [1, 2]))
         with pytest.raises(RuntimeError):
-            ctx.recv(1, 2)
+            list(ctx.recv_gen(1, 2))
 
 
 class TestKernelIntegration:
@@ -55,13 +57,16 @@ class TestKernelIntegration:
         )
 
         def body(process):
+            # What generated code does: a due wait is synced at the call.
             ctx.sim_process = process
-            ctx.wait(7)
+            if ctx.wait(7):
+                yield from ctx.sync_gen()
             timeline.append(("after-wait", kernel.now))
-            ctx.send(1, [42])
+            yield from ctx.send_gen(1, [42])
             timeline.append(("after-send", kernel.now))
-            ctx.wait(3)
-            ctx.sync()
+            if ctx.wait(3):
+                yield from ctx.sync_gen()
+            yield from ctx.sync_gen()
             timeline.append(("end", kernel.now))
 
         kernel.add_process("p", body)

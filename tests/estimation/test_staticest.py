@@ -1,5 +1,9 @@
 """Tests for the simulation-free static estimator (search stage 0)."""
 
+import hashlib
+import json
+import time
+
 import pytest
 
 from repro import artifacts
@@ -13,7 +17,7 @@ from repro.estimation import (
     static_estimate,
 )
 from repro.estimation.staticest import PROFILE_KIND
-from repro.pum import microblaze
+from repro.pum import dct_hw, microblaze
 from repro.tlm import Design, generate_tlm
 
 SMALL = Mp3Params(n_subbands=4, n_slots=4, n_phases=4, n_alias=2)
@@ -94,8 +98,76 @@ class TestProfile:
           recv(1, v, 1);
           return v[0];
         }""", "main", "cpu")
-        with pytest.raises(StaticEstimateError, match="starved"):
-            profile_design(design, timeout=0.2)
+        with pytest.raises(StaticEstimateError, match="starved") as info:
+            profile_design(design)
+        assert "p (recv(1, 1))" in str(info.value)
+
+    def test_failing_process_named_at_once(self, fresh_store):
+        # ``sw`` fails before its first send; ``acc`` starves as a
+        # consequence.  The profiler names the failing process, not the
+        # starved one, and raises without waiting for anything.
+        design = Design("victim")
+        design.add_pe("cpu", microblaze(8192, 4096))
+        design.add_pe("hw", dct_hw())
+        design.add_bus("bus")
+        design.add_channel(1, "req", "bus")
+        design.add_process("sw", """
+        int main(void) {
+          int v[4];
+          int i = 9;
+          v[i] = 1;
+          send(1, v, 4);
+          return 0;
+        }""", "main", "cpu")
+        design.add_process("acc", """
+        int main(void) {
+          int buf[4];
+          recv(1, buf, 4);
+          return buf[0];
+        }""", "main", "hw")
+        start = time.perf_counter()
+        with pytest.raises(StaticEstimateError) as info:
+            profile_design(design)
+        assert time.perf_counter() - start < 5.0
+        message = str(info.value)
+        assert "profiling process 'sw' failed: InterpreterError" in message
+        assert "acc" not in message and "starved" not in message
+
+    #: Profiles captured with the thread-per-process profiler this one
+    #: replaced: total executed blocks per process, a digest of the
+    #: per-block counts, and the aggregated sends.
+    PROFILE_GOLDENS = {
+        "SW": ("5d65b53bd1bf5eec", {"decoder": 13705}, {"decoder": []}),
+        "SW+1": ("c58e87978827edb6",
+                 {"decoder": 11099, "p_filter_l": 2615},
+                 {"decoder": [(10, 16, 2)], "p_filter_l": [(11, 16, 2)]}),
+        "SW+2": ("ed1908bb3af9b6b6",
+                 {"decoder": 9809, "p_filter_l": 2615, "p_imdct_l": 1299},
+                 {"decoder": [(10, 16, 2), (14, 16, 2)],
+                  "p_filter_l": [(11, 16, 2)], "p_imdct_l": [(15, 16, 2)]}),
+        "SW+4": ("4c37e8b1f1a03cec",
+                 {"decoder": 5913, "p_filter_l": 2615, "p_filter_r": 2615,
+                  "p_imdct_l": 1299, "p_imdct_r": 1299},
+                 {"decoder": [(10, 16, 2), (12, 16, 2), (14, 16, 2),
+                              (16, 16, 2)],
+                  "p_filter_l": [(11, 16, 2)], "p_filter_r": [(13, 16, 2)],
+                  "p_imdct_l": [(15, 16, 2)], "p_imdct_r": [(17, 16, 2)]}),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(PROFILE_GOLDENS))
+    def test_profile_matches_goldens(self, fresh_store, variant):
+        digest, blocks, sends = self.PROFILE_GOLDENS[variant]
+        design, _ = build_design(variant, SMALL, n_frames=1, seed=7)
+        profile = profile_design(design)
+        counts = json.dumps(profile.to_dict()["counts"], sort_keys=True)
+        assert hashlib.sha256(counts.encode()).hexdigest()[:16] == digest
+        assert {name: profile.total_blocks(name)
+                for name in profile.counts} == blocks
+        assert profile.sends == sends
+        # Every word sent is received by someone.
+        sent = sorted(t for per in profile.sends.values() for t in per)
+        received = sorted(t for per in profile.recvs.values() for t in per)
+        assert sent == received
 
 
 class TestCompCycles:

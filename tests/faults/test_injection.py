@@ -5,8 +5,8 @@ The central claims under test:
 * **pay-for-what-you-use** — with no scenario (or one that never fires),
   cycle counts are bit-identical to the fault-free run;
 * **determinism** — same seed + scenario gives identical counters and
-  makespans across repeated runs, across TLM engines, and (for counters)
-  across the TLM/PCAM boundary;
+  makespans across repeated runs and (for counters) across the TLM/PCAM
+  boundary;
 * the four fault families actually do what the docs say (corrupt changes
   data but not timing; delay/stall add time; drop and halt starve peers
   into a named deadlock; crash aborts with a structured error).
@@ -64,8 +64,8 @@ def two_pe_design():
     return design
 
 
-def run_tlm(faults=None, engine="coroutine"):
-    model = generate_tlm(two_pe_design(), timed=True, engine=engine)
+def run_tlm(faults=None):
+    model = generate_tlm(two_pe_design(), timed=True)
     return model.run(faults=faults)
 
 
@@ -232,13 +232,6 @@ class TestDeterminism:
         second = run_tlm(faults=probabilistic_scenario(42))
         assert first.fault_stats == second.fault_stats
         assert first.makespan_cycles == second.makespan_cycles
-
-    def test_same_seed_across_engines(self):
-        coroutine = run_tlm(faults=probabilistic_scenario(42),
-                            engine="coroutine")
-        thread = run_tlm(faults=probabilistic_scenario(42), engine="thread")
-        assert coroutine.fault_stats == thread.fault_stats
-        assert coroutine.makespan_cycles == thread.makespan_cycles
 
     def test_counters_identical_across_tlm_and_pcam(self):
         # Same application, same per-channel transaction order — the fault

@@ -59,7 +59,7 @@ class TestCPUShare:
 
         def runner(name):
             def body(process):
-                share.execute(process, name, 100)
+                yield from share.execute_gen(process, name, 100)
                 finish[name] = kernel.now
             return body
 
@@ -75,8 +75,9 @@ class TestCPUShare:
                          RTOSModel(context_switch_cycles=50))
 
         def body(process):
-            share.execute(process, "a", 10)
-            share.execute(process, "a", 10)  # same process: no switch
+            yield from share.execute_gen(process, "a", 10)
+            # same process: no switch
+            yield from share.execute_gen(process, "a", 10)
 
         kernel.add_process("a", body)
         kernel.run()
@@ -89,7 +90,7 @@ class TestCPUShare:
         share = CPUShare(kernel, "cpu", 10.0, RTOSModel())
 
         def body(process):
-            share.execute(process, "a", 0)
+            yield from share.execute_gen(process, "a", 0)
 
         kernel.add_process("a", body)
         kernel.run()

@@ -382,6 +382,26 @@ class TestMalformedSources:
             stats = client.stats()
         assert stats["breakers"]["estimate"]["state"] == "closed"
 
+    def test_communicating_run_is_an_answer_not_a_breaker_failure(
+            self, serve_daemon, tmp_path):
+        # ``run`` of an entry that reaches ``send`` is refused as bad
+        # input (exit 2) before it runs, so the breaker stays closed.
+        path = tmp_path / "comm.cmini"
+        path.write_text("int b[1]; int main(void) { send(1, b, 1); "
+                        "return 0; }")
+        threshold = 2
+        handle = serve_daemon("--breaker-threshold", str(threshold))
+        with ServeClient("unix:" + handle.socket_path) as client:
+            for _ in range(threshold + 1):
+                reply = client.call("run", [str(path)])
+                assert reply["ok"] is True
+                assert reply["exit_code"] == 2
+                assert reply["output"].startswith(
+                    "error: main() can reach send/recv"
+                )
+            stats = client.stats()
+        assert stats["breakers"]["run"]["state"] == "closed"
+
 
 def _running(pid):
     """Whether ``pid`` names a live process (a zombie has exited)."""

@@ -30,7 +30,7 @@ class TestBusTiming:
 
         def sender(name):
             def body(p):
-                bus.occupy(p, 10)  # 100 ns
+                yield from bus.occupy_gen(p, 10)  # 100 ns
                 completions.append((name, kernel.now))
             return body
 
@@ -44,8 +44,8 @@ class TestBusTiming:
         bus = Bus(kernel, "b")
 
         def body(p):
-            bus.occupy(p, 8)
-            bus.occupy(p, 8)
+            yield from bus.occupy_gen(p, 8)
+            yield from bus.occupy_gen(p, 8)
 
         kernel.add_process("p", body)
         kernel.run()
@@ -60,12 +60,12 @@ class TestBusChannel:
         got = []
 
         def producer(p):
-            channel.send(p, [1, 2])
-            channel.send(p, [3])
+            yield from channel.send_gen(p, [1, 2])
+            yield from channel.send_gen(p, [3])
 
         def consumer(p):
-            got.extend(channel.recv(p, 1))
-            got.extend(channel.recv(p, 2))
+            got.extend((yield from channel.recv_gen(p, 1)))
+            got.extend((yield from channel.recv_gen(p, 2)))
 
         kernel.add_process("prod", producer)
         kernel.add_process("cons", consumer)
@@ -79,11 +79,11 @@ class TestBusChannel:
         arrival = []
 
         def producer(p):
-            p.wait(100.0)
-            channel.send(p, [7])
+            yield 100.0
+            yield from channel.send_gen(p, [7])
 
         def consumer(p):
-            value = channel.recv(p, 1)
+            value = yield from channel.recv_gen(p, 1)
             arrival.append((value, kernel.now))
 
         kernel.add_process("prod", producer)
@@ -98,11 +98,11 @@ class TestBusChannel:
         times = []
 
         def producer(p):
-            channel.send(p, [1])
+            yield from channel.send_gen(p, [1])
             times.append(kernel.now)
 
         def consumer(p):
-            channel.recv(p, 1)
+            yield from channel.recv_gen(p, 1)
             times.append(kernel.now)
 
         kernel.add_process("prod", producer)
@@ -117,12 +117,12 @@ class TestBusChannel:
 
         def producer(p):
             for chunk in ([1], [2], [3], [4]):
-                p.wait(10.0)
-                channel.send(p, chunk)
+                yield 10.0
+                yield from channel.send_gen(p, chunk)
 
         def consumer(name):
             def body(p):
-                taken[name] = channel.recv(p, 2)
+                taken[name] = yield from channel.recv_gen(p, 2)
             return body
 
         kernel.add_process("prod", producer)
@@ -136,7 +136,7 @@ class TestBusChannel:
         channel = BusChannel(kernel, "c", bus=None)
 
         def producer(p):
-            channel.send(p, [1, 2, 3])
+            yield from channel.send_gen(p, [1, 2, 3])
 
         kernel.add_process("prod", producer)
         kernel.run()

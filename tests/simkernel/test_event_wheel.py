@@ -3,8 +3,8 @@
 The contract is bit-identity: for any process soup, the wheel must produce
 the heap's exact activation trace, end time and counters — the wheel is a
 wall-clock optimisation, never a semantics change.  These tests throw
-seeded pseudo-random soups (mixed backends, zero-waits, channel wake
-chains) at both schedulers and diff the traces, then pin the auto-selection
+seeded pseudo-random soups (flat and nested generators, zero-waits,
+channel wake chains) at both schedulers and diff the traces, then pin the auto-selection
 lifecycle, the ``until`` resumption behaviour, and the traffic-scale
 deadlock/watchdog behaviours that ride on the wheel (summary capping,
 batch-aware stall accounting).
@@ -26,9 +26,10 @@ from repro.simkernel import (
 )
 
 
-def _random_soup(kernel, seed, n_waiters=24, n_pairs=4, n_threads=2):
+def _random_soup(kernel, seed, n_waiters=24, n_pairs=4, n_nested=2):
     """Deterministically pseudo-random processes: generator waiters with
-    zero-wait bursts, channel ping-pong pairs, and thread-backed stragglers.
+    zero-wait bursts, channel ping-pong pairs, and stragglers that wait
+    inside a nested ``yield from`` call.
     The schedules are precomputed from ``seed`` so every kernel gets an
     identical workload."""
     rng = random.Random("wheel-soup:%d" % seed)
@@ -70,16 +71,19 @@ def _random_soup(kernel, seed, n_waiters=24, n_pairs=4, n_threads=2):
         kernel.add_process("s%d" % index, sender())
         kernel.add_process("r%d" % index, receiver())
 
-    for index in range(n_threads):
+    def nested_wait(duration):
+        yield duration
+
+    for index in range(n_nested):
         waits = [rng.choice((1.0, 4.0)) for _ in range(3)]
 
-        def threaded(waits=waits):
+        def nested(waits=waits):
             def body(p):
                 for duration in waits:
-                    p.wait(duration)
+                    yield from nested_wait(duration)
             return body
 
-        kernel.add_process("t%d" % index, threaded())
+        kernel.add_process("t%d" % index, nested())
 
 
 def _run_traced(scheduler, seed, until=None):

@@ -1,6 +1,5 @@
-"""Tests for the generator (coroutine) process backend and the scheduler
-counters, plus regressions for ``run(until=...)`` resumption and deadlock
-diagnostics."""
+"""Tests for generator processes and the scheduler counters, plus
+regressions for ``run(until=...)`` resumption and deadlock diagnostics."""
 
 import pytest
 
@@ -20,14 +19,10 @@ class TestGeneratorProcesses:
         def gen_body(p):
             yield 1.0
 
-        def thread_body(p):
-            p.wait(1.0)
-
         gp = kernel.add_process("g", gen_body)
-        tp = kernel.add_process("t", thread_body)
         assert isinstance(gp, GeneratorProcess)
-        assert gp.is_generator and not tp.is_generator
-        kernel.run()
+        assert kernel.run() == 1.0
+        assert gp.finished
 
     def test_yielded_durations_advance_time(self):
         kernel = Kernel()
@@ -77,17 +72,30 @@ class TestGeneratorProcesses:
         assert "boom" in str(info.value.__cause__)
 
     def test_imperative_wait_on_generator_process_rejected(self):
+        # A body that waits imperatively is refused before it runs.
         kernel = Kernel()
-        process = kernel.add_process("g", lambda p: iter(()))
-        # add_process treats the lambda as a thread target; build directly.
-        gp = GeneratorProcess(kernel, "g2", None)
-        with pytest.raises(SimulationError):
-            gp.wait(1.0)
-        with pytest.raises(SimulationError):
-            gp._suspend()
-        process._kill()
+        ran = []
+
+        def imperative_body(p):
+            ran.append(True)
+            p.wait(1.0)
+
+        with pytest.raises(SimulationError, match="'imperative'"):
+            kernel.add_process("imperative", imperative_body)
+        assert not ran and kernel.processes == []
+
+    @pytest.mark.parametrize("target", [
+        lambda p: iter(()),
+        lambda p: None,
+    ])
+    def test_non_generator_target_rejected(self, target):
+        kernel = Kernel()
+        with pytest.raises(SimulationError, match="process 'worker'"):
+            kernel.add_process("worker", target)
 
     def test_mixed_backends_share_one_timeline(self):
+        # Two processes with different periods on one timeline; at equal
+        # times the earlier-scheduled event fires first.
         def run_once(gen_first):
             kernel = Kernel()
             log = []
@@ -97,23 +105,23 @@ class TestGeneratorProcesses:
                     yield 2.0
                     log.append(("g", kernel.now))
 
-            def thread_body(p):
+            def slow_body(p):
                 for _ in range(2):
-                    p.wait(3.0)
+                    yield 3.0
                     log.append(("t", kernel.now))
 
             if gen_first:
                 kernel.add_process("g", gen_body)
-                kernel.add_process("t", thread_body)
+                kernel.add_process("t", slow_body)
             else:
-                kernel.add_process("t", thread_body)
+                kernel.add_process("t", slow_body)
                 kernel.add_process("g", gen_body)
             kernel.run()
             return log
 
         log = run_once(True)
-        # at t=6.0 the thread process fires first: its event was scheduled
-        # at t=3.0, before the generator's (scheduled at t=4.0)
+        # at t=6.0 process "t" fires first: its event was scheduled at
+        # t=3.0, before process "g"'s (scheduled at t=4.0)
         assert log == [("g", 2.0), ("t", 3.0), ("g", 4.0), ("t", 6.0),
                        ("g", 6.0)]
         assert run_once(True) == log
@@ -181,53 +189,34 @@ class TestKernelCounters:
         assert kernel.kernel_stats()["channel_fastpath_hits"] == 1
 
     def test_counters_identical_across_backends(self):
-        def run_once(use_generators):
-            kernel = Kernel()
+        # The heap and the event wheel (the kernel's two event-queue
+        # backends) count the same activations, events and wakes.
+        def run_once(scheduler):
+            kernel = Kernel(scheduler=scheduler)
             channel = BusChannel(kernel, "pipe")
 
-            if use_generators:
-                def producer(p):
-                    yield 2.0
-                    yield from channel.send_gen(p, [1, 2])
+            def producer(p):
+                yield 2.0
+                yield from channel.send_gen(p, [1, 2])
 
-                def consumer(p):
-                    yield from channel.recv_gen(p, 2)
-                    yield 1.0
-            else:
-                def producer(p):
-                    p.wait(2.0)
-                    channel.send(p, [1, 2])
-
-                def consumer(p):
-                    channel.recv(p, 2)
-                    p.wait(1.0)
+            def consumer(p):
+                yield from channel.recv_gen(p, 2)
+                yield 1.0
 
             kernel.add_process("prod", producer)
             kernel.add_process("cons", consumer)
             end = kernel.run()
-            return end, kernel.kernel_stats()
+            stats = kernel.kernel_stats()
+            return end, [stats[key] for key in (
+                "activations", "events_scheduled", "channel_fastpath_hits",
+            )]
 
-        assert run_once(True) == run_once(False)
+        assert run_once("heap") == run_once("wheel")
 
 
 class TestUntilResume:
     """``run(until=...)`` must keep the first over-horizon event queued so a
     later ``run()`` picks up exactly where the simulation stopped."""
-
-    def test_thread_process_resumes_after_horizon(self):
-        kernel = Kernel()
-        ticks = []
-
-        def body(p):
-            for _ in range(5):
-                p.wait(10.0)
-                ticks.append(kernel.now)
-
-        kernel.add_process("p", body)
-        assert kernel.run(until=35.0) == 35.0
-        assert ticks == [10.0, 20.0, 30.0]
-        assert kernel.run() == 50.0
-        assert ticks == [10.0, 20.0, 30.0, 40.0, 50.0]
 
     def test_generator_process_resumes_after_horizon(self):
         kernel = Kernel()
@@ -261,25 +250,6 @@ class TestUntilResume:
 
 
 class TestDeadlockDiagnostics:
-    def test_thread_deadlock_names_every_blocked_process(self):
-        kernel = Kernel()
-        never_a = BusChannel(kernel, "never_a")
-        never_b = BusChannel(kernel, "never_b")
-
-        def make(channel, count):
-            def body(p):
-                channel.recv(p, count)
-            return body
-
-        kernel.add_process("alpha", make(never_a, 1))
-        kernel.add_process("beta", make(never_b, 7))
-        with pytest.raises(DeadlockError) as info:
-            kernel.run()
-        message = str(info.value)
-        assert "alpha" in message and "beta" in message
-        assert "recv(never_a, 1)" in message
-        assert "recv(never_b, 7)" in message
-
     def test_generator_deadlock_names_every_blocked_process(self):
         kernel = Kernel()
         never_a = BusChannel(kernel, "never_a")
@@ -302,16 +272,21 @@ class TestDeadlockDiagnostics:
     def test_stop_unwinds_both_backends(self):
         kernel = Kernel()
         channel = BusChannel(kernel, "pipe")
+        unwound = []
 
         def gen_body(p):
             yield from channel.recv_gen(p, 1)
 
-        def thread_body(p):
-            channel.recv(p, 1)
+        def nested_body(p):
+            try:
+                yield from gen_body(p)
+            finally:
+                unwound.append(p.name)
 
         gp = kernel.add_process("g", gen_body)
-        tp = kernel.add_process("t", thread_body)
+        tp = kernel.add_process("t", nested_body)
         with pytest.raises(DeadlockError):
             kernel.run()
         # the deadlock path shuts the kernel down; both are unwound
         assert gp.finished and tp.finished
+        assert unwound == ["t"]

@@ -12,9 +12,9 @@ class TestTimeAdvance:
 
         def body(p):
             times.append(kernel.now)
-            p.wait(5.0)
+            yield 5.0
             times.append(kernel.now)
-            p.wait(2.5)
+            yield 2.5
             times.append(kernel.now)
 
         kernel.add_process("p", body)
@@ -29,7 +29,7 @@ class TestTimeAdvance:
         def make(delays):
             def body(p):
                 for d in delays:
-                    p.wait(d)
+                    yield d
                     observed.append(kernel.now)
             return body
 
@@ -42,7 +42,7 @@ class TestTimeAdvance:
         kernel = Kernel()
 
         def body(p):
-            p.wait(0.0)
+            yield 0.0
 
         kernel.add_process("p", body)
         assert kernel.run() == 0.0
@@ -51,7 +51,7 @@ class TestTimeAdvance:
         kernel = Kernel()
 
         def body(p):
-            p.wait(-1.0)
+            yield -1.0
 
         kernel.add_process("p", body)
         with pytest.raises(SimulationError):
@@ -63,7 +63,7 @@ class TestTimeAdvance:
 
         def body(p):
             while True:
-                p.wait(10.0)
+                yield 10.0
                 ticks.append(kernel.now)
 
         kernel.add_process("p", body)
@@ -80,7 +80,7 @@ class TestDeterminism:
         def make(name):
             def body(p):
                 order.append(name)
-                p.wait(1.0)
+                yield 1.0
                 order.append(name + "'")
             return body
 
@@ -96,12 +96,12 @@ class TestDeterminism:
 
             def body_a(p):
                 for _ in range(3):
-                    p.wait(2.0)
+                    yield 2.0
                     log.append(("a", kernel.now))
 
             def body_b(p):
                 for _ in range(2):
-                    p.wait(3.0)
+                    yield 3.0
                     log.append(("b", kernel.now))
 
             kernel.add_process("a", body_a)
@@ -118,6 +118,7 @@ class TestFailures:
 
         def body(p):
             raise ValueError("boom")
+            yield  # unreachable: makes the body a generator function
 
         kernel.add_process("p", body)
         with pytest.raises(SimulationError) as info:
@@ -131,7 +132,7 @@ class TestFailures:
         channel = BusChannel(kernel, "never")
 
         def body(p):
-            channel.recv(p, 1)
+            yield from channel.recv_gen(p, 1)
 
         kernel.add_process("p", body)
         with pytest.raises(DeadlockError) as info:
@@ -144,7 +145,7 @@ class TestFailures:
         kernel.trace = lambda t, name: traced.append((t, name))
 
         def body(p):
-            p.wait(1.0)
+            yield 1.0
 
         kernel.add_process("p", body)
         kernel.run()

@@ -15,10 +15,10 @@ class TestTokenRing:
         def node(index):
             def body(process):
                 for _ in range(n_laps):
-                    token = channels[index].recv(process, 1)[0]
+                    token = (yield from channels[index].recv_gen(process, 1))[0]
                     log.append((index, token))
-                    process.wait(float(index + 1))
-                    channels[(index + 1) % n_processes].send(
+                    yield float(index + 1)
+                    yield from channels[(index + 1) % n_processes].send_gen(
                         process, [token + 1]
                     )
             return body
@@ -27,7 +27,7 @@ class TestTokenRing:
             kernel.add_process("node%d" % i, node(i))
 
         def seed(process):
-            channels[0].send(process, [0])
+            yield from channels[0].send_gen(process, [0])
 
         # The seed injects the token; node7's final send parks the token in
         # ring0 unconsumed once every node finished its laps.
@@ -61,14 +61,14 @@ class TestFanInContention:
 
         def writer(i):
             def body(process):
-                sink.send(process, [i] * words_each)
+                yield from sink.send_gen(process, [i] * words_each)
             return body
 
         received = []
 
         def reader(process):
             for _ in range(n_writers):
-                received.extend(sink.recv(process, words_each))
+                received.extend((yield from sink.recv_gen(process, words_each)))
 
         for i in range(n_writers):
             kernel.add_process("w%d" % i, writer(i))
@@ -91,7 +91,7 @@ class TestFanInContention:
         def worker(i):
             def body(process):
                 for _ in range(5):
-                    process.wait(float((i % 7) + 1))
+                    yield float((i % 7) + 1)
                 done.append(i)
             return body
 

@@ -1,5 +1,7 @@
-"""Watchdog tests: wall-clock, horizon and livelock limits on both process
-backends, plus blocked-process naming in deadlock reports."""
+"""Watchdog tests: wall-clock, horizon and livelock limits, plus
+blocked-process naming in deadlock reports.  Each runs with processes that
+suspend directly ("generator") and from inside a nested call ("nested"),
+as generated code does at call depth."""
 
 import pytest
 
@@ -14,18 +16,18 @@ from repro.simkernel import (
 )
 
 
-def thread_spinner(kernel):
-    """A thread-backed process that waits 0 forever (no time progress)."""
+def _nested(duration):
+    yield duration
 
-    def body(p):
-        while True:
-            p.wait(0.0)
 
-    return body
+def _wait(backend, duration):
+    """One wait, for ``yield from``: from a nested generator call
+    (``"nested"``) or straight from an iterator (``"generator"``)."""
+    return _nested(duration) if backend == "nested" else iter((duration,))
 
 
 def gen_spinner(kernel):
-    """The generator-backed twin of :func:`thread_spinner`."""
+    """A process that waits 0 forever (no time progress)."""
 
     def body(p):
         while True:
@@ -34,7 +36,18 @@ def gen_spinner(kernel):
     return body
 
 
-SPINNERS = [("thread", thread_spinner), ("generator", gen_spinner)]
+def nested_spinner(kernel):
+    """A spinner whose zero-waits happen inside a nested call."""
+
+    def body(p):
+        while True:
+            yield from _nested(0.0)
+
+    return body
+
+
+SPINNERS = [("nested", nested_spinner), ("generator", gen_spinner)]
+BACKENDS = ["nested", "generator"]
 
 
 class TestValidation:
@@ -67,8 +80,9 @@ class TestLivelock:
         assert "livelock" in str(exc_info.value)
 
     def test_mixed_backends_both_named(self):
+        # A flat and a nested spinner stall together; both are named.
         kernel = Kernel()
-        kernel.add_process("spin_t", thread_spinner(kernel))
+        kernel.add_process("spin_t", nested_spinner(kernel))
         kernel.add_process("spin_g", gen_spinner(kernel))
         with pytest.raises(LivelockError) as exc_info:
             kernel.run(watchdog=Watchdog(max_stalled_activations=100))
@@ -82,8 +96,9 @@ class TestLivelock:
 
         def body(p):
             for _ in range(50):
-                p.wait(0.0)
-                p.wait(1.0)  # real progress between the zero-waits
+                yield from _wait(backend, 0.0)
+                # real progress between the zero-waits
+                yield from _wait(backend, 1.0)
             done.append(True)
 
         kernel.add_process("worker", body)
@@ -99,25 +114,20 @@ class TestLivelock:
 
         def body(p):
             for _ in range(10):
-                p.wait(1.0)
+                yield 1.0
 
         kernel.add_process("finite", body)
         assert kernel.run(watchdog=Watchdog(max_stalled_activations=5)) == 10.0
 
 
 class TestHorizon:
-    @pytest.mark.parametrize("backend", ["thread", "generator"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_horizon_aborts(self, backend):
         kernel = Kernel()
 
-        if backend == "thread":
-            def body(p):
-                while True:
-                    p.wait(10.0)
-        else:
-            def body(p):
-                while True:
-                    yield 10.0
+        def body(p):
+            while True:
+                yield from _wait(backend, 10.0)
 
         kernel.add_process("ticker", body)
         with pytest.raises(HorizonExceeded):
@@ -127,7 +137,7 @@ class TestHorizon:
         kernel = Kernel()
 
         def body(p):
-            p.wait(5.0)
+            yield 5.0
 
         kernel.add_process("short", body)
         assert kernel.run(watchdog=Watchdog(max_sim_time=100.0)) == 5.0
@@ -166,7 +176,7 @@ class TestWallClock:
 
 
 class TestDeadlockNaming:
-    @pytest.mark.parametrize("backend", ["thread", "generator"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_deadlock_error_names_blocked_processes(self, backend):
         from repro.simkernel import Bus, BusChannel
 
@@ -174,11 +184,13 @@ class TestDeadlockNaming:
         bus = Bus(kernel, "bus0")
         channel = BusChannel(kernel, "c0", bus)
 
-        if backend == "thread":
-            def consumer(p):
-                channel.recv(p, 4)  # nobody ever sends
-        else:
-            def consumer(p):
+        def read(p):
+            return (yield from channel.recv_gen(p, 4))
+
+        def consumer(p):
+            if backend == "nested":
+                yield from read(p)  # nobody ever sends
+            else:
                 yield from channel.recv_gen(p, 4)
 
         kernel.add_process("starved_reader", consumer)

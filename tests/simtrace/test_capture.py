@@ -1,5 +1,5 @@
 """Recording-hook transparency: a recorded simulation is observably
-identical to an unrecorded one, across engines, granularities and PUMs."""
+identical to an unrecorded one, across granularities and PUMs."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -56,23 +56,21 @@ class TestRecordingTransparency:
     @settings(max_examples=20, deadline=None)
     @given(
         preset=st.sampled_from(sorted(PRESETS)),
-        engine=st.sampled_from(["coroutine", "thread"]),
         granularity=st.sampled_from(["transaction", "block", "quantum"]),
         n_msgs=st.integers(min_value=1, max_value=4),
         payload=st.integers(min_value=1, max_value=16),
         n_iters=st.integers(min_value=0, max_value=40),
     )
-    @example(preset="microblaze", engine="coroutine",
-             granularity="transaction", n_msgs=1, payload=1, n_iters=0)
-    @example(preset="superscalar2", engine="thread", granularity="block",
-             n_msgs=4, payload=16, n_iters=40)
-    @example(preset="dct_hw", engine="coroutine", granularity="quantum",
-             n_msgs=2, payload=8, n_iters=13)
-    def test_recording_is_bit_transparent(self, preset, engine, granularity,
-                                          n_msgs, payload, n_iters):
+    @example(preset="microblaze", granularity="transaction", n_msgs=1,
+             payload=1, n_iters=0)
+    @example(preset="superscalar2", granularity="block", n_msgs=4,
+             payload=16, n_iters=40)
+    @example(preset="dct_hw", granularity="quantum", n_msgs=2, payload=8,
+             n_iters=13)
+    def test_recording_is_bit_transparent(self, preset, granularity, n_msgs,
+                                          payload, n_iters):
         design = _pipeline_design(preset, n_msgs, payload, n_iters)
-        model = generate_tlm(design, timed=True, granularity=granularity,
-                             engine=engine)
+        model = generate_tlm(design, timed=True, granularity=granularity)
         plain = model.run()
         recorded = model.run(record=TraceRecorder())
         assert recorded.makespan_cycles == plain.makespan_cycles

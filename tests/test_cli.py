@@ -297,6 +297,45 @@ class TestRun:
         assert code == 0
         assert "twice(21) = 42" in text
 
+    COMM_SOURCE = """
+    int buf[2];
+    int push(void) { send(1, buf, 2); return 0; }
+    int main(void) { return push(); }
+    int pure(void) { return 7; }
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["run", "--timed"], ["profile"],
+    ])
+    def test_communicating_entry_refused_before_running(self, tmp_path,
+                                                         argv):
+        path = tmp_path / "comm.cmini"
+        path.write_text(self.COMM_SOURCE)
+        code, text = run_cli(argv[:1] + [str(path)] + argv[1:])
+        assert code == 2
+        assert text == (
+            "error: main() can reach send/recv; a single program has no "
+            "channels (simulate a design instead)\n"
+        )
+
+    def test_comm_free_entry_of_communicating_program_runs(self, tmp_path):
+        path = tmp_path / "comm.cmini"
+        path.write_text(self.COMM_SOURCE)
+        code, text = run_cli(["run", str(path), "--entry", "pure", "--timed"])
+        assert code == 0
+        assert "pure() = 7" in text
+
+    def test_runtime_failure_is_an_abort(self, tmp_path):
+        path = tmp_path / "oob.cmini"
+        path.write_text("int main(void) { int v[2]; int i = 5; "
+                        "return v[i]; }")
+        for argv in (["run", str(path)], ["profile", str(path)]):
+            code, text = run_cli(argv)
+            assert code == 3
+            assert text.startswith("simulation aborted: index 5 out of "
+                                   "bounds for 'v'[2]")
+            assert text.count("\n") == 1
+
 
 class TestDisasm:
     def test_disasm_output(self, source_file):

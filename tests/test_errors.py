@@ -31,6 +31,7 @@ from repro.errors import (
 
 def _import_all_subsystems():
     """Touch every module that defines ReproError subclasses."""
+    import repro.cdfg.interp  # noqa: F401
     import repro.cfrontend.errors  # noqa: F401
     import repro.cli  # noqa: F401 — imports most of them
     import repro.cycle.caches  # noqa: F401
@@ -56,7 +57,7 @@ class TestRegistry:
             "cmini", "cmini-lex", "cmini-parse", "cmini-semantic",
             "simulation", "deadlock", "watchdog",             # aborted
             "wall-clock-exceeded", "horizon-exceeded",
-            "livelock", "fault-injected",
+            "livelock", "fault-injected", "interpreter",
             "bad-request", "overloaded", "circuit-open",      # serving
             "worker-crashed",
         ):
@@ -95,6 +96,14 @@ class TestRegistry:
         assert issubclass(SimulationError, AbortError)
         assert SimulationError.exit_code == EXIT_ABORTED
         assert WallClockExceeded.code == "wall-clock-exceeded"
+
+    def test_interpreter_errors_are_aborts(self):
+        # A failing interpreted process exits like a failing simulated one.
+        from repro.cdfg.interp import InterpreterError
+
+        assert issubclass(InterpreterError, AbortError)
+        assert InterpreterError.code == "interpreter"
+        assert InterpreterError.exit_code == EXIT_ABORTED
 
 
 class TestJsonRoundTrip:

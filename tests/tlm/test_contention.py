@@ -3,7 +3,7 @@
 Unit level: :class:`ArbitratedBus` grant order per policy, queue counters,
 and the uncontended fast path's arithmetic identity with the plain bus.
 Model level: policy-less designs keep their bit-exact legacy makespans,
-arbitrated designs stay deterministic across schedulers / engines /
+arbitrated designs stay deterministic across schedulers and
 granularities and under fault injection, and simtrace recording refuses
 load-dependent arbitration (a recorded trace would bake one grant order in).
 """
@@ -203,14 +203,13 @@ class TestModelContention:
         assert stats["queued_grants"] > 0  # the pairs really collide
         assert stats["stall_cycles"] > 0
 
-    @pytest.mark.parametrize("engine", ["coroutine", "thread"])
     @pytest.mark.parametrize("granularity", ["transaction", "block"])
-    def test_deterministic_across_schedulers(self, engine, granularity):
+    def test_deterministic_across_schedulers(self, granularity):
         seen = set()
         grants = set()
         for scheduler in ("heap", "wheel"):
             model = generate_tlm(_two_pair_design(policy="fifo"),
-                                 granularity=granularity, engine=engine)
+                                 granularity=granularity)
             result = model.run(scheduler=scheduler)
             assert result.makespan_cycles > 0
             seen.add(result.makespan_cycles)

@@ -1,9 +1,8 @@
 """Equivalence tests for the simulation fast path.
 
-The coroutine engine, the optimizing code generator and the quantum
-granularity are pure speed features: every combination must report the
-same ``makespan_cycles`` as the original thread engine running
-unoptimized code.
+The optimizing code generator and the quantum granularity are pure speed
+features: every combination must report the same ``makespan_cycles`` as
+unoptimized code at transaction granularity.
 """
 
 import pytest
@@ -28,10 +27,8 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("variant", ["SW", "SW+2"])
     def test_engines_and_optimizer_bit_identical(self, variant):
         design = small_design(variant)
-        baseline = makespan(design, engine="thread", optimize=False)
-        assert makespan(design, engine="thread", optimize=True) == baseline
-        assert makespan(design, engine="coroutine", optimize=False) == baseline
-        assert makespan(design, engine="coroutine", optimize=True) == baseline
+        baseline = makespan(design, optimize=False)
+        assert makespan(design, optimize=True) == baseline
 
     def test_granularities_bit_identical(self):
         design = small_design()
@@ -43,33 +40,25 @@ class TestEngineEquivalence:
 
     def test_functional_results_identical_across_engines(self):
         design = small_design()
-        a = generate_tlm(design, timed=False, engine="coroutine").run()
-        b = generate_tlm(design, timed=False, engine="thread").run()
+        a = generate_tlm(design, timed=False, optimize=True).run()
+        b = generate_tlm(design, timed=False, optimize=False).run()
         assert (a.process("decoder").return_value
                 == b.process("decoder").return_value)
 
     def test_bad_engine_rejected(self):
-        with pytest.raises(ValueError):
-            generate_tlm(small_design(), timed=True, engine="fiber")
+        # There is one process model; no engine can be selected.
+        with pytest.raises(TypeError):
+            generate_tlm(small_design(), timed=True, engine="thread")
 
 
 class TestKernelStatsSurface:
     def test_tlm_result_carries_kernel_stats(self):
         result = generate_tlm(small_design(), timed=True).run()
         stats = result.kernel_stats
-        assert stats["engine"] == "coroutine"
+        assert "engine" not in stats
         assert stats["activations"] > 0
         assert stats["events_scheduled"] > 0
         assert stats["channel_fastpath_hits"] > 0
-
-    def test_thread_engine_reports_same_counters(self):
-        design = small_design()
-        fast = generate_tlm(design, timed=True, engine="coroutine").run()
-        slow = generate_tlm(design, timed=True, engine="thread").run()
-        for key in ("activations", "events_scheduled",
-                    "channel_fastpath_hits"):
-            assert fast.kernel_stats[key] == slow.kernel_stats[key]
-        assert slow.kernel_stats["engine"] == "thread"
 
     def test_board_result_carries_kernel_stats(self):
         result = run_pcam(small_design())

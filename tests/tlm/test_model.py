@@ -61,10 +61,12 @@ class TestChannelBinding:
             def __init__(self):
                 self.sent = []
 
-            def send(self, process, values):
+            def send_gen(self, process, values):
                 self.sent.append(values)
+                yield from ()
 
-            def recv(self, process, count):
+            def recv_gen(self, process, count):
+                yield from ()
                 return list(range(count))
 
         class FakeMap:
@@ -77,9 +79,12 @@ class TestChannelBinding:
 
         chan = FakeChannel()
         binding = ChannelBinding(FakeMap(chan))
-        binding.send(None, 5, [1, 2])
+        assert list(binding.send_gen(None, 5, [1, 2])) == []
         assert chan.sent == [[1, 2]]
-        assert binding.recv(None, 5, 3) == [0, 1, 2]
+        receiving = binding.recv_gen(None, 5, 3)
+        with pytest.raises(StopIteration) as done:
+            next(receiving)
+        assert done.value.value == [0, 1, 2]
 
 
 class TestFailureInjection:

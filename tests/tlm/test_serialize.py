@@ -117,8 +117,17 @@ class TestCLITlm:
         out = io.StringIO()
         assert main(["simulate", str(path), "--kernel-stats"], out=out) == 0
         text = out.getvalue()
-        assert "engine=coroutine" in text
+        assert "scheduler=heap" in text
         assert "activations" in text and "fast-path" in text
+
+    def test_cli_engine_option_removed(self, tmp_path, capsys):
+        # One process model: ``--engine`` is an unknown option (exit 2).
+        path = tmp_path / "design.json"
+        save_design(demo_design(), str(path))
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", str(path), "--engine", "thread"])
+        assert info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_cli_engines_report_same_makespan(self, tmp_path):
         path = tmp_path / "design.json"
@@ -130,8 +139,7 @@ class TestCLITlm:
             return out.getvalue().splitlines()[0]
 
         fast = makespan_line(["simulate", str(path)])
-        slow = makespan_line(["simulate", str(path), "--engine", "thread",
-                              "--no-optimize"])
+        slow = makespan_line(["simulate", str(path), "--no-optimize"])
         quantum = makespan_line(["simulate", str(path), "--granularity",
                                  "quantum", "--quantum", "4"])
         assert "makespan" in fast
