@@ -1,21 +1,21 @@
-"""Traffic-scale benchmark: N decoder instances, heap vs event wheel.
+"""Traffic-scale benchmark: N decoder instances on the kernel's event loop.
 
 Sweeps N = 1 -> 256 MP3 decoder instances over one platform (profile-replay
-traffic, quantum-granularity op streams) and times the kernel's two event
-schedulers on the identical workload.  The wheel's flat per-event cost is
-the whole point of the indexed scheduler, so the headline assert is a
->= 4x wall-clock speedup over the binary heap at N = 256.
+traffic, quantum-granularity op streams) and times the kernel on each.
+Lockstep instances share one per-timestamp bucket, which the loop drains
+in one pass, so the per-event cost falls as N grows; the table reports
+wall time and events per second at every N.
 
-Correctness rides along at every scale: heap and wheel makespans must be
-bit-identical at each N, per-instance latencies must be identical across
-schedulers and across repeated runs under a fixed traffic seed, and a
-single uncontended instance must reproduce the pinned TLM golden exactly —
-with or without a bus arbitration policy attached (the arbiter's
-uncontended fast path charges the same arithmetic as the plain bus).
+Correctness rides along: a single uncontended instance must reproduce the
+pinned TLM golden exactly — with or without a bus arbitration policy
+attached (the arbiter's uncontended fast path charges the same arithmetic
+as the plain bus) — per-instance latencies must be identical across
+repeated runs under a fixed traffic seed, and contended instances must
+queue with deterministic delays.  Bit-identity with the heap scheduler the
+loop replaced is a tier-1 property (``tests/simkernel/test_event_wheel.py``
+and the oracle tests in ``tests/workloads/test_traffic.py``).
 
-CI runs the cheap ``equivalence``/``determinism``/``contention`` tests on
-every push; the N = 256 speedup row is bench-tier only.  Results land in
-``results/BENCH_traffic_scale.json``.
+Results land in ``results/BENCH_traffic_scale.json``.
 """
 
 from __future__ import annotations
@@ -37,10 +37,8 @@ QUANTUM = 64
 #: a single traffic instance's latency must reproduce it exactly.
 SW_GOLDEN_MAKESPAN = 3528191
 
-#: The sweep; the last point carries the speedup assert.
+#: The sweep, lockstep instances per point.
 SWEEP = (1, 4, 16, 64, 256)
-HIGH_N = 256
-SPEEDUP_FLOOR = 4.0
 
 _rows = {}
 
@@ -57,7 +55,7 @@ def _min_wall(runner, rounds=3):
 
 def _lockstep_spec(n):
     """All N instances arrive at t=0 — the flash-crowd worst case and the
-    densest same-timestamp batches the wheel can be handed."""
+    densest same-timestamp buckets the kernel can be handed."""
     return TrafficSpec(n, arrivals="bursty", burst_size=n,
                        mean_gap_cycles=0.0, seed=1)
 
@@ -81,39 +79,26 @@ def hw_design():
                         icache_size=ICACHE, dcache_size=DCACHE)[0]
 
 
-# -- equivalence: scheduler choice changes nothing but wall time ------------
+# -- the sweep: wall time and event rate at every N ---------------------------
 
-@pytest.mark.parametrize("n", SWEEP[:-1])
-def test_traffic_equivalence_sweep(n, sw_design, sw_profile):
-    """Heap and wheel produce bit-identical results at every N."""
+@pytest.mark.parametrize("n", SWEEP)
+def test_traffic_scale_sweep(n, sw_design, sw_profile):
+    """Best-of-3 kernel wall time for N lockstep instances."""
     spec = _lockstep_spec(n)
-    results = {}
-    for scheduler in ("heap", "wheel"):
-        wall, result = _min_wall(
-            lambda s=scheduler: run_traffic(
-                sw_design, spec, granularity="quantum", quantum=QUANTUM,
-                scheduler=s, profile=sw_profile,
-            ),
-            rounds=1,
-        )
-        results[scheduler] = result
-        _rows[(n, scheduler)] = {
-            "wall": wall,
-            "makespan": result.makespan_cycles,
-            "events": result.kernel_stats["events_scheduled"],
-        }
-    heap, wheel = results["heap"], results["wheel"]
-    assert heap.makespan_cycles == wheel.makespan_cycles
-    assert heap.latencies_cycles == wheel.latencies_cycles
-    assert (heap.kernel_stats["events_scheduled"]
-            == wheel.kernel_stats["events_scheduled"])
-    assert (heap.kernel_stats["activations"]
-            == wheel.kernel_stats["activations"])
-    assert heap.kernel_stats["scheduler"] == "heap"
-    assert wheel.kernel_stats["scheduler"] == "wheel"
-    if n == 1:
-        # One uncontended instance is exactly the recorded decode.
-        assert heap.latencies_cycles == [SW_GOLDEN_MAKESPAN]
+    wall, result = _min_wall(
+        lambda: run_traffic(
+            sw_design, spec, granularity="quantum", quantum=QUANTUM,
+            profile=sw_profile,
+        ),
+    )
+    _rows[n] = {
+        "wall": wall,
+        "makespan": result.makespan_cycles,
+        "events": result.kernel_stats["events_scheduled"],
+    }
+    # No bus: lockstep instances never interact, so each one is exactly
+    # the recorded decode.
+    assert result.latencies_cycles == [SW_GOLDEN_MAKESPAN] * n
 
 
 def test_traffic_equivalence_golden_single(sw_design, sw_profile):
@@ -125,20 +110,18 @@ def test_traffic_equivalence_golden_single(sw_design, sw_profile):
 
 
 def test_traffic_determinism_fixed_seed(sw_design, sw_profile):
-    """Same seed => identical per-instance latencies, across two runs and
-    across both schedulers (the ISSUE's determinism criterion)."""
+    """Same seed => identical per-instance latencies across runs."""
     spec = TrafficSpec(32, arrivals="poisson", mean_gap_cycles=5000.0,
                        seed=42)
     baseline = None
-    for scheduler in ("heap", "wheel"):
-        for _ in range(2):
-            result = run_traffic(
-                sw_design, spec, granularity="quantum", quantum=QUANTUM,
-                scheduler=scheduler, profile=sw_profile,
-            )
-            if baseline is None:
-                baseline = result.latencies_cycles
-            assert result.latencies_cycles == baseline
+    for _ in range(2):
+        result = run_traffic(
+            sw_design, spec, granularity="quantum", quantum=QUANTUM,
+            profile=sw_profile,
+        )
+        if baseline is None:
+            baseline = result.latencies_cycles
+        assert result.latencies_cycles == baseline
     assert len(set(baseline)) == 1  # no bus => instances don't interact
 
 
@@ -164,100 +147,60 @@ def test_traffic_contention_fastpath_identity(hw_design):
 
 def test_traffic_contention_under_load(hw_design):
     """Contended instances queue on the shared bus: deterministic queuing
-    delays, visible in the per-bus counters, identical across schedulers."""
+    delays, visible in the per-bus counters, identical across runs."""
     spec = _lockstep_spec(8)
     hw_design.buses["sysbus"].policy = "fifo"
     try:
-        heap = run_traffic(hw_design, spec, scheduler="heap")
-        wheel = run_traffic(hw_design, spec, scheduler="wheel")
+        first = run_traffic(hw_design, spec)
+        second = run_traffic(hw_design, spec)
     finally:
         hw_design.buses["sysbus"].policy = None
-    assert heap.makespan_cycles == wheel.makespan_cycles
-    assert heap.latencies_cycles == wheel.latencies_cycles
-    stats = heap.bus_stats["sysbus"]
+    assert first.makespan_cycles == second.makespan_cycles
+    assert first.latencies_cycles == second.latencies_cycles
+    assert first.bus_stats == second.bus_stats
+    stats = first.bus_stats["sysbus"]
     assert stats["queued_grants"] > 0
     assert stats["stall_cycles"] > 0
-    assert heap.makespan_cycles > _rows.get(
+    assert first.makespan_cycles > _rows.get(
         "contention_single", {"makespan": 0})["makespan"]
     _rows["contention_loaded"] = {
-        "makespan": heap.makespan_cycles,
+        "makespan": first.makespan_cycles,
         "queued_grants": stats["queued_grants"],
         "stall_cycles": stats["stall_cycles"],
         "utilization": stats["utilization"],
     }
 
 
-# -- the headline: wheel >= 4x heap at N = 256 ------------------------------
-
-def test_traffic_speedup_high_n(sw_design, sw_profile):
-    spec = _lockstep_spec(HIGH_N)
-    walls = {}
-    results = {}
-    for scheduler in ("heap", "wheel"):
-        walls[scheduler], results[scheduler] = _min_wall(
-            lambda s=scheduler: run_traffic(
-                sw_design, spec, granularity="quantum", quantum=QUANTUM,
-                scheduler=s, profile=sw_profile,
-            ),
-            rounds=3,
-        )
-        _rows[(HIGH_N, scheduler)] = {
-            "wall": walls[scheduler],
-            "makespan": results[scheduler].makespan_cycles,
-            "events": results[scheduler].kernel_stats["events_scheduled"],
-        }
-    assert (results["heap"].makespan_cycles
-            == results["wheel"].makespan_cycles)
-    assert (results["heap"].latencies_cycles
-            == results["wheel"].latencies_cycles)
-    speedup = walls["heap"] / walls["wheel"]
-    _rows["speedup"] = speedup
-    assert speedup >= SPEEDUP_FLOOR, (
-        "event wheel %.2fx over heap at N=%d (need >= %.1fx)"
-        % (speedup, HIGH_N, SPEEDUP_FLOOR)
-    )
-
-
 # -- table + metrics --------------------------------------------------------
 
 def test_render_traffic_scale(tables, metrics):
     table = Table(
-        ["Instances", "Heap", "Wheel", "Speedup", "Events", "Wheel ev/s"],
-        title="Traffic scale — event wheel vs heap (MP3 SW, quantum sync)",
+        ["Instances", "Wall", "Events", "Events/s", "Makespan"],
+        title="Traffic scale — one kernel event loop (MP3 SW, quantum sync)",
     )
     bench = {"quantum": QUANTUM, "frames": FRAMES}
     for n in SWEEP:
-        heap = _rows.get((n, "heap"))
-        wheel = _rows.get((n, "wheel"))
-        if not heap or not wheel:
+        row = _rows.get(n)
+        if not row:
             continue
-        speedup = heap["wall"] / wheel["wall"] if wheel["wall"] else 0.0
-        ev_s = wheel["events"] / wheel["wall"] if wheel["wall"] else 0.0
+        ev_s = row["events"] / row["wall"] if row["wall"] else 0.0
         table.add_row(
             str(n),
-            fmt_seconds(heap["wall"]),
-            fmt_seconds(wheel["wall"]),
-            "%.2fx" % speedup,
-            str(wheel["events"]),
+            fmt_seconds(row["wall"]),
+            str(row["events"]),
             "%.2fM" % (ev_s / 1e6),
+            str(row["makespan"]),
         )
-        bench["n%d_heap_wall" % n] = heap["wall"]
-        bench["n%d_wheel_wall" % n] = wheel["wall"]
-        bench["n%d_events" % n] = wheel["events"]
-        bench["n%d_makespan" % n] = wheel["makespan"]
-        bench["n%d_wheel_events_per_sec" % n] = ev_s
-        bench["n%d_heap_events_per_sec" % n] = (
-            heap["events"] / heap["wall"] if heap["wall"] else 0.0
-        )
-    if "speedup" in _rows:
-        bench["speedup_high_n"] = _rows["speedup"]
+        bench["n%d_wall" % n] = row["wall"]
+        bench["n%d_events" % n] = row["events"]
+        bench["n%d_makespan" % n] = row["makespan"]
+        bench["n%d_events_per_sec" % n] = ev_s
     for key in ("contention_single", "contention_loaded"):
         if key in _rows:
             for stat, value in _rows[key].items():
                 bench["%s_%s" % (key, stat)] = value
     tables["traffic_scale"] = table.render() + (
         "\n(N lockstep instances of the 1-frame SW decode, quantum sync "
-        "q=%d; identical op streams on both schedulers, makespans "
-        "bit-identical at every N. The N=256 row is best-of-3.)" % QUANTUM
+        "q=%d; every row is best-of-3.)" % QUANTUM
     )
     metrics["traffic_scale"] = bench

@@ -45,9 +45,7 @@ Subcommands:
     kernel watchdog (see docs/robustness.md).
     ``--traffic N`` spawns N instances of the design over one shared
     platform under a seeded arrival process and reports per-instance
-    latency percentiles plus bus-contention counters; ``--scheduler``
-    pins the kernel's event scheduler (heap / indexed event wheel /
-    auto-select — bit-identical results, see docs/performance.md).
+    latency percentiles plus bus-contention counters.
 
 Structured failures (malformed PUM / scenario / checkpoint files, watchdog
 aborts, deadlocks) exit non-zero with a one-line message instead of a raw
@@ -244,9 +242,7 @@ def cmd_tlm(args, out):
         optimize=not args.no_optimize, quantum=args.quantum,
     )
     watchdog = _build_watchdog(args, model.reference_cycle_ns)
-    result = model.run(
-        faults=scenario, watchdog=watchdog, scheduler=args.scheduler,
-    )
+    result = model.run(faults=scenario, watchdog=watchdog)
     out.write("Design %r (%s TLM): makespan %d cycles, simulated in %.3f s\n"
               % (design.name, "functional" if args.functional else "timed",
                  result.makespan_cycles, result.wall_seconds))
@@ -290,8 +286,7 @@ def _run_traffic_cli(args, out, design, scenario):
     result = run_traffic(
         design, spec, granularity=args.granularity,
         optimize=not args.no_optimize, quantum=args.quantum,
-        scheduler=args.scheduler, faults=scenario,
-        watchdog=_build_watchdog(args, REFERENCE_CYCLE_NS),
+        faults=scenario, watchdog=_build_watchdog(args, REFERENCE_CYCLE_NS),
     )
     summary = result.latency_summary()
     out.write(
@@ -349,9 +344,8 @@ def _write_fault_stats(out, scenario, stats):
 
 def _write_kernel_stats(out, stats):
     out.write(
-        "kernel: scheduler=%s  %d activations, %d events "
-        "scheduled, %d channel fast-path hits, %d buckets drained\n" % (
-            stats.get("scheduler", "?"),
+        "kernel: %d activations, %d events scheduled, %d channel "
+        "fast-path hits, %d buckets drained\n" % (
             stats.get("activations", 0),
             stats.get("events_scheduled", 0),
             stats.get("channel_fastpath_hits", 0),
@@ -1073,11 +1067,6 @@ def build_parser():
     p_tlm.add_argument("--quantum", type=int, default=None, metavar="N",
                        help="waits coalesced per kernel event under "
                             "--granularity quantum")
-    p_tlm.add_argument("--scheduler", choices=["auto", "heap", "wheel"],
-                       default="auto",
-                       help="kernel event scheduler: binary heap, indexed "
-                            "event wheel, or auto-select by process count "
-                            "(default: auto; results are bit-identical)")
     p_tlm.add_argument("--traffic", type=int, default=0, metavar="N",
                        help="traffic mode: spawn N instances of the design "
                             "over one shared platform and report latency "

@@ -50,7 +50,6 @@ from .artifacts import content_key, default_store
 from .errors import InputError
 from .estimation.staticest import (
     PROFILE_KIND, REFERENCE_CYCLE_NS, process_comp_cycles, profile_design,
-    transfer_cycles,
 )
 from .explore import (
     CheckpointError, DesignPoint, ExplorationCheckpoint, ExplorationResult,
@@ -395,14 +394,11 @@ def static_scores(space, indices, store=None):
     """Stage-0 scores (estimated reference cycles) of ``indices``.
 
     One profile + one annotation pass per delay group; the per-point
-    frequency and bus terms are numpy-vectorized across each group (a
-    scalar fallback keeps the path alive without numpy).  Returns
-    ``(scores, counters)`` with ``scores[i]`` aligned to ``indices[i]``.
+    frequency and bus terms are numpy-vectorized across each group.
+    Returns ``(scores, counters)`` with ``scores[i]`` aligned to
+    ``indices[i]``.
     """
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is a soft dependency
-        numpy = None
+    import numpy
 
     store = store or default_store()
     scores = [0.0] * len(indices)
@@ -412,62 +408,35 @@ def static_scores(space, indices, store=None):
         base_ns, freq_cycles, bus_hist, buses = _group_model(
             space, sub[0], store,
         )
-        if numpy is not None:
-            est = numpy.full(len(sub), base_ns, dtype=float)
-            for axis, cycles in freq_cycles.items():
-                mhz = numpy.asarray(
-                    space.axis_values(axis, sub), dtype=float,
+        est = numpy.full(len(sub), base_ns, dtype=float)
+        for axis, cycles in freq_cycles.items():
+            mhz = numpy.asarray(space.axis_values(axis, sub), dtype=float)
+            est += cycles * (1000.0 / mhz)
+        for bus_name, hist in bus_hist.items():
+            bus = buses[bus_name]
+            if space.bus_width_axis is not None:
+                width = numpy.asarray(
+                    space.axis_values(space.bus_width_axis, sub),
+                    dtype=numpy.int64,
                 )
-                est += cycles * (1000.0 / mhz)
-            for bus_name, hist in bus_hist.items():
-                bus = buses[bus_name]
-                if space.bus_width_axis is not None:
-                    width = numpy.asarray(
-                        space.axis_values(space.bus_width_axis, sub),
-                        dtype=numpy.int64,
-                    )
-                else:
-                    width = numpy.int64(bus.words_per_cycle)
-                if space.bus_arb_axis is not None:
-                    arb = numpy.asarray(
-                        space.axis_values(space.bus_arb_axis, sub),
-                        dtype=numpy.int64,
-                    )
-                else:
-                    arb = numpy.int64(bus.arbitration_cycles)
-                cycles = arb * sum(hist.values())
-                for words, times in hist.items():
-                    cycles = cycles + times * ((words + width - 1) // width)
-                est += bus.cycle_ns * cycles
-            for p, value in zip(positions, est):
-                scores[p] = float(value) / REFERENCE_CYCLE_NS
-        else:  # pragma: no cover - exercised only without numpy
-            width_vals = (space.axis_values(space.bus_width_axis, sub)
-                          if space.bus_width_axis else None)
-            arb_vals = (space.axis_values(space.bus_arb_axis, sub)
-                        if space.bus_arb_axis else None)
-            freq_vals = {
-                axis: space.axis_values(axis, sub) for axis in freq_cycles
-            }
-            for at, p in enumerate(positions):
-                est = base_ns
-                for axis, cycles in freq_cycles.items():
-                    est += cycles * (1000.0 / freq_vals[axis][at])
-                for bus_name, hist in bus_hist.items():
-                    bus = buses[bus_name]
-                    width = (width_vals[at] if width_vals is not None
-                             else bus.words_per_cycle)
-                    arb = (arb_vals[at] if arb_vals is not None
-                           else bus.arbitration_cycles)
-                    est += bus.cycle_ns * sum(
-                        times * transfer_cycles(words, width, arb)
-                        for words, times in hist.items()
-                    )
-                scores[p] = est / REFERENCE_CYCLE_NS
+            else:
+                width = numpy.int64(bus.words_per_cycle)
+            if space.bus_arb_axis is not None:
+                arb = numpy.asarray(
+                    space.axis_values(space.bus_arb_axis, sub),
+                    dtype=numpy.int64,
+                )
+            else:
+                arb = numpy.int64(bus.arbitration_cycles)
+            cycles = arb * sum(hist.values())
+            for words, times in hist.items():
+                cycles = cycles + times * ((words + width - 1) // width)
+            est += bus.cycle_ns * cycles
+        for p, value in zip(positions, est):
+            scores[p] = float(value) / REFERENCE_CYCLE_NS
     counters = {
         "scored": len(indices),
         "delay_groups": len(groups),
-        "vectorized": numpy is not None,
     }
     return scores, counters
 

@@ -201,13 +201,10 @@ def replay_many(trace, designs, delay_scales=None, vectorize=True):
 
     vector_idx = []
     if vectorize and len(designs) >= 2 and _single_sender_receiver(trace):
-        from .vectorized import HAVE_NUMPY
-
-        if HAVE_NUMPY:
-            vector_idx = [
-                i for i, design in enumerate(designs)
-                if all(pe.rtos is None for pe in design.pes.values())
-            ]
+        vector_idx = [
+            i for i, design in enumerate(designs)
+            if all(pe.rtos is None for pe in design.pes.values())
+        ]
     if len(vector_idx) >= 2:
         from .vectorized import replay_sweep
 

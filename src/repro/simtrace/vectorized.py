@@ -25,19 +25,12 @@ check is quadratic in that count).
 
 from __future__ import annotations
 
-from .trace import SimTraceError
-
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is in the base toolchain
-    np = None
-    HAVE_NUMPY = False
+import numpy as np
 
 from ..simkernel.kernel import OP_RECV, OP_SEND, OP_WAIT
+from .trace import SimTraceError
 
-__all__ = ["HAVE_NUMPY", "MAX_BUS_SENDS", "replay_sweep"]
+__all__ = ["MAX_BUS_SENDS", "replay_sweep"]
 
 #: Per-bus transaction cap beyond which vectorization is declined.
 MAX_BUS_SENDS = 512
@@ -98,8 +91,6 @@ def replay_sweep(trace, designs, delay_scales):
     the model entirely (caller falls back to scalar replay for every
     lane).
     """
-    if not HAVE_NUMPY:
-        return None
     k = len(designs)
     sends, crossings = _channel_crossings(trace)
     # Per-bus record-ordered send queues (a channel maps to one bus, but a

@@ -29,9 +29,7 @@ from __future__ import annotations
 
 from ..simkernel.channel import Bus
 from ..simkernel.kernel import SimulationError
-
-#: Grant policies understood by :class:`ArbitratedBus`.
-POLICIES = ("fifo", "priority", "rr")
+from .platform import POLICIES
 
 #: Priority assumed for masters absent from the ``priorities`` map
 #: (lower number = more urgent, like the RTOS model).

@@ -145,8 +145,7 @@ class TLModel:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, until=None, faults=None, watchdog=None, record=None,
-            scheduler="auto"):
+    def run(self, until=None, faults=None, watchdog=None, record=None):
         """Simulate the model once; returns a :class:`TLMResult`.
 
         Each call builds a fresh kernel and fresh per-process global stores,
@@ -164,15 +163,12 @@ class TLModel:
                 run then logs each process's applied delay segments and
                 channel operations (for :mod:`repro.simtrace` replay).
                 ``None`` (default) instantiates no recording proxy at all.
-            scheduler: kernel event-queue backend — ``"auto"`` (default),
-                ``"heap"`` or ``"wheel"``; activation order (and therefore
-                every estimate) is bit-identical across all three.
         """
         if record is not None and faults is not None:
             raise SimulationError(
                 "cannot record a simulation trace of a fault-injected run"
             )
-        kernel = Kernel(scheduler=scheduler)
+        kernel = Kernel()
         channel_map = ChannelMap()
         buses = {}
         for name, bus_decl in self.design.buses.items():

@@ -12,9 +12,28 @@ processing units in the platform".  A :class:`Design` bundles exactly that:
 
 from __future__ import annotations
 
+import math
 
-class PlatformError(Exception):
+from ..errors import InputError
+from ..pum.model import PUMError
+
+#: Grant policies a bus may declare (see
+#: :class:`~repro.tlm.contention.ArbitratedBus`).
+POLICIES = ("fifo", "priority", "rr")
+
+
+class PlatformError(InputError):
     """Raised for inconsistent platform descriptions."""
+
+    code = "platform"
+
+
+def _is_finite(value):
+    """True when ``value`` is a finite number (not NaN, inf or a string)."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
 
 
 class PEDecl:
@@ -126,6 +145,10 @@ class Design:
     def add_pe(self, name, pum, rtos=None):
         if name in self.pes:
             raise PlatformError("duplicate PE %r" % name)
+        frequency = pum.frequency_mhz
+        if not (_is_finite(frequency) and frequency > 0):
+            raise PUMError("PE %r: frequency_mhz must be finite and > 0, "
+                           "not %r" % (name, frequency))
         self.pes[name] = PEDecl(name, pum, rtos)
         return self.pes[name]
 
@@ -133,6 +156,20 @@ class Design:
                 cycle_ns=10.0, policy=None, priorities=None):
         if name in self.buses:
             raise PlatformError("duplicate bus %r" % name)
+        for field, value, minimum in (
+                ("cycle_ns", cycle_ns, 0),
+                ("words_per_cycle", words_per_cycle, 1),
+                ("arbitration_cycles", arbitration_cycles, 0)):
+            if not (_is_finite(value) and value >= minimum):
+                raise PlatformError(
+                    "bus %r: %s must be a finite number >= %d, not %r"
+                    % (name, field, minimum, value)
+                )
+        if policy is not None and policy not in POLICIES:
+            raise PlatformError(
+                "bus %r: unknown arbitration policy %r (choose %s)"
+                % (name, policy, ", ".join(POLICIES))
+            )
         self.buses[name] = BusDecl(
             name, words_per_cycle, arbitration_cycles, cycle_ns,
             policy=policy, priorities=priorities,

@@ -24,7 +24,7 @@ from .capture import (
 from .stream import LineStream, StreamRecorder, TraceError
 
 #: Names forwarded (lazily, PEP 562) from :mod:`.stackdist`.
-_STACKDIST_NAMES = ("HAVE_NUMPY", "CacheGeometry", "evaluate_stream")
+_STACKDIST_NAMES = ("CacheGeometry", "evaluate_stream")
 
 #: Names forwarded (lazily, PEP 562) from :mod:`repro.simtrace`.
 _SIMTRACE_NAMES = (

@@ -17,8 +17,9 @@ Two engines compute the same exact counts:
   geometry the cycle model's caches use): an access hits a 2-way set iff no
   line *change* occurs in its set's access subsequence strictly after the
   first intervening access since the previous occurrence, which reduces to
-  a stable grouping sort plus a prefix sum.  Used automatically when NumPy
-  is importable; results are asserted bit-identical to ``stack`` in tests.
+  a stable grouping sort plus a prefix sum.  Used automatically when every
+  geometry has associativity <= 2; results are asserted bit-identical to
+  ``stack`` in tests.
 
 Results are provably bit-identical to replaying the trace through
 :class:`repro.cycle.caches.Cache` — the property tests exercise exactly
@@ -29,16 +30,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
+import numpy as np
+
 from ..cycle.caches import DEFAULT_ASSOC, DEFAULT_LINE_WORDS, CacheError
 from ..isa.program import BYTES_PER_WORD
 from .stream import TraceError
-
-try:  # optional accelerator; every path below has a pure-Python twin
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via engine="stack"
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 
 class CacheGeometry:
@@ -131,14 +127,9 @@ def evaluate_stream(stream, geometries, engine=None):
         shapes = [(geometries[i].n_sets, geometries[i].assoc) for i in live]
         if engine is None:
             engine = (
-                "vector"
-                if HAVE_NUMPY and all(a <= 2 for _, a in shapes)
-                else "stack"
+                "vector" if all(a <= 2 for _, a in shapes) else "stack"
             )
         if engine == "vector":
-            if not HAVE_NUMPY:
-                raise TraceError("vector engine requested but NumPy is "
-                                 "unavailable")
             if any(a > 2 for _, a in shapes):
                 raise TraceError("vector engine only handles "
                                  "associativity <= 2")
@@ -267,7 +258,6 @@ def _evaluate_vector(stream, shapes):
     comparison yields).  For 1-way (direct-mapped), a hit requires the
     previous same-set access to be ``L`` itself: ``t == p + 1``.
     """
-    np = _np
     n = stream.n_runs
     total = stream.accesses
     if n == 0:

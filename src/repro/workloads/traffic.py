@@ -14,15 +14,14 @@ is then a lightweight generator re-issuing the recorded op stream (waits,
 sends, receives with zero payloads) through its own private channels bound
 to the *shared* buses.  Hundreds of instances therefore cost what hundreds
 of stub processes cost, not hundreds of full decoder executions — exactly
-the regime the kernel's event-wheel scheduler is built for.
+the regime the kernel's per-timestamp buckets are built for.
 
 Determinism: arrival offsets come from a string-seeded RNG stream
 (``random.Random("repro-traffic:<seed>:<stream>")`` — the
 :mod:`repro.faults` pattern), are quantized to integer reference cycles and
 depend on nothing but the spec.  All simulated timing then derives from the
-kernel's bit-identical ``(when, seq)`` order, so one seed produces
-identical per-instance latencies across runs and across both kernel
-schedulers.
+kernel's ``(when, seq)`` order, so one seed produces identical
+per-instance latencies across runs.
 
 Fault scenarios compose: instance channels keep their base channel names,
 so a :class:`~repro.faults.FaultScenario` targeting ``"filter0_req"``
@@ -145,8 +144,7 @@ class TrafficResult:
 
     def __init__(self, design_name, spec, end_time_ns, wall_seconds,
                  latencies_cycles, reference_cycle_ns, kernel_stats,
-                 bus_stats, fault_stats=None, scheduler="auto",
-                 replayed=False):
+                 bus_stats, fault_stats=None, replayed=False):
         self.design_name = design_name
         self.spec = spec
         self.end_time_ns = end_time_ns
@@ -158,7 +156,6 @@ class TrafficResult:
         self.kernel_stats = kernel_stats
         self.bus_stats = bus_stats
         self.fault_stats = fault_stats or {}
-        self.scheduler = scheduler
         #: ``True`` when the point was evaluated by the analytic grant-queue
         #: replay (:mod:`repro.workloads.traffic_replay`), not the kernel
         self.replayed = replayed
@@ -362,8 +359,8 @@ def _instance_target(ops, cycle_ns, share, channel_map, proc_name,
 
 
 def run_traffic(design, spec, granularity="transaction", optimize=True,
-                quantum=None, scheduler="auto", faults=None, watchdog=None,
-                store=None, profile=None, replay="off"):
+                quantum=None, faults=None, watchdog=None, store=None,
+                profile=None, replay="off"):
     """Simulate ``spec.n_instances`` instances of ``design`` under the
     spec's arrival process; returns a :class:`TrafficResult`.
 
@@ -393,8 +390,8 @@ def run_traffic(design, spec, granularity="transaction", optimize=True,
 
         results, stats = replay_traffic_sweep(
             design, [spec], granularity=granularity,
-            optimize=optimize, quantum=quantum, scheduler=scheduler,
-            store=store, profile=profile, validate_n=0,
+            optimize=optimize, quantum=quantum, store=store,
+            profile=profile, validate_n=0,
         )
         result = results[0]
         result.replay_stats = stats
@@ -405,7 +402,7 @@ def run_traffic(design, spec, granularity="transaction", optimize=True,
             quantum=quantum, store=store,
         )
     reference_cycle_ns = profile.reference_cycle_ns
-    kernel = Kernel(scheduler=scheduler)
+    kernel = Kernel()
     buses = {
         name: build_bus(kernel, decl)
         for name, decl in design.buses.items()
@@ -495,5 +492,4 @@ def run_traffic(design, spec, granularity="transaction", optimize=True,
         kernel_stats,
         bus_stats,
         fault_stats=active.counters() if active is not None else None,
-        scheduler=kernel_stats["scheduler"],
     )

@@ -33,29 +33,21 @@ conservatism costs speed, never accuracy):
 
 Lanes: one call sweeps K traffic points.  The per-(point, instance) clock
 chains for arrival segments and pure-computation processes run as one
-numpy pass over all K×N lanes (scalar fallback without numpy); the grant
+numpy pass over all K×N lanes (a scalar fold for small grids); the grant
 merge itself is per point, driven by a small heap over channel ops only.
 """
 
 from __future__ import annotations
 
 import time
-
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is in the base toolchain
-    np = None
-    HAVE_NUMPY = False
-
 from heapq import heappop, heappush
+
+import numpy as np
 
 from ..simkernel.kernel import OP_RECV, OP_SEND, OP_WAIT, SIM_TOTALS
 from ..tlm.contention import DEFAULT_PRIORITY
 
 __all__ = [
-    "HAVE_NUMPY",
     "ReplayUnsupported",
     "compile_replay_plan",
     "replay_traffic_point",
@@ -91,13 +83,13 @@ def _chain_rows(starts, deltas):
     """Chain one delta sequence over many lane clocks at once.
 
     ``starts`` is a list of floats (one per lane); each row of the result
-    is the kernel's own left fold from that lane's clock.  With numpy the
-    whole (lanes × deltas) grid is one ``add.accumulate`` pass — the
-    vectorized sweep lanes of the tentpole.
+    is the kernel's own left fold from that lane's clock.  Above 256 cells
+    the whole (lanes × deltas) grid is one numpy ``add.accumulate`` pass
+    (the vectorized sweep lanes); smaller grids fold in plain Python.
     """
     if not deltas:
         return list(starts)
-    if HAVE_NUMPY and len(starts) * len(deltas) > 256:
+    if len(starts) * len(deltas) > 256:
         buf = np.empty((len(starts), len(deltas) + 1), dtype=np.float64)
         buf[:, 0] = starts
         buf[:, 1:] = deltas
@@ -127,7 +119,7 @@ class _Node:
         self.crossing = crossing
         self.arr = (
             np.asarray(deltas, dtype=np.float64)
-            if HAVE_NUMPY and len(deltas) > 64 else None
+            if len(deltas) > 64 else None
         )
 
 
@@ -633,8 +625,8 @@ def _identical(replayed, reference):
 
 
 def replay_traffic_sweep(design, specs, granularity="transaction",
-                         optimize=True, quantum=None, scheduler="auto",
-                         store=None, profile=None, validate_n=1):
+                         optimize=True, quantum=None, store=None,
+                         profile=None, validate_n=1):
     """Evaluate K traffic points of one design, replaying where exact.
 
     Captures ONE instance's trace (with per-bus grant streams when the
@@ -663,7 +655,7 @@ def replay_traffic_sweep(design, specs, granularity="transaction",
         "flagged": 0,
         "validated": 0,
         "fallbacks": 0,
-        "engine": "vectorized" if HAVE_NUMPY else "scalar",
+        "engine": "vectorized",
         "self_check": None,
     }
 
@@ -671,8 +663,8 @@ def replay_traffic_sweep(design, specs, granularity="transaction",
         stats["simulated"] += 1
         return run_traffic(
             design, spec, granularity=granularity,
-            optimize=optimize, quantum=quantum, scheduler=scheduler,
-            store=store, profile=profile,
+            optimize=optimize, quantum=quantum, store=store,
+            profile=profile,
         )
 
     def all_kernel(reason):
@@ -725,7 +717,6 @@ def replay_traffic_sweep(design, specs, granularity="transaction",
             {"engine": "replay", "scheduler": "replay", "activations": 0,
              "events_scheduled": 0, "channel_fastpath_hits": 0},
             bus_stats,
-            scheduler="replay",
             replayed=True,
         )
 

@@ -402,6 +402,36 @@ class TestMalformedSources:
             stats = client.stats()
         assert stats["breakers"]["run"]["state"] == "closed"
 
+    def test_malformed_design_is_an_answer_not_a_breaker_failure(
+            self, serve_daemon, tmp_path):
+        # A design with a NaN bus cycle is refused where it is built
+        # (exit 2), so ``simulate``'s breaker stays closed.
+        from repro.pum import microblaze
+        from repro.tlm import Design, design_to_dict
+
+        design = Design("bad-bus")
+        design.add_pe("cpu", microblaze(2048, 2048))
+        design.add_bus("bus0")
+        design.add_process("p", "int main(void) { return 0; }", "main",
+                           "cpu")
+        data = design_to_dict(design)
+        data["buses"][0]["cycle_ns"] = float("nan")
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(data))
+        threshold = 2
+        handle = serve_daemon("--breaker-threshold", str(threshold))
+        with ServeClient("unix:" + handle.socket_path) as client:
+            for _ in range(threshold + 1):
+                reply = client.call("simulate", [str(path)])
+                assert reply["ok"] is True
+                assert reply["exit_code"] == 2
+                assert reply["output"] == (
+                    "error: bus 'bus0': cycle_ns must be a finite number "
+                    ">= 0, not nan\n"
+                )
+            stats = client.stats()
+        assert stats["breakers"]["simulate"]["state"] == "closed"
+
 
 def _running(pid):
     """Whether ``pid`` names a live process (a zombie has exited)."""

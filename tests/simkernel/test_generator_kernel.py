@@ -153,7 +153,7 @@ class TestKernelCounters:
             "events_scheduled": 0,
             "channel_fastpath_hits": 0,
             "buckets_drained": 0,
-            "scheduler": "auto",
+            "scheduler": "wheel",
         }
 
     def test_activations_and_events_counted(self):
@@ -189,10 +189,12 @@ class TestKernelCounters:
         assert kernel.kernel_stats()["channel_fastpath_hits"] == 1
 
     def test_counters_identical_across_backends(self):
-        # The heap and the event wheel (the kernel's two event-queue
-        # backends) count the same activations, events and wakes.
-        def run_once(scheduler):
-            kernel = Kernel(scheduler=scheduler)
+        # The bucket loop counts the activations, events and wakes of the
+        # heap oracle it replaced.
+        from .reference_kernel import ReferenceKernel, counters
+
+        def run_once(kernel_cls):
+            kernel = kernel_cls()
             channel = BusChannel(kernel, "pipe")
 
             def producer(p):
@@ -205,13 +207,9 @@ class TestKernelCounters:
 
             kernel.add_process("prod", producer)
             kernel.add_process("cons", consumer)
-            end = kernel.run()
-            stats = kernel.kernel_stats()
-            return end, [stats[key] for key in (
-                "activations", "events_scheduled", "channel_fastpath_hits",
-            )]
+            return kernel.run(), counters(kernel.kernel_stats())
 
-        assert run_once("heap") == run_once("wheel")
+        assert run_once(Kernel) == run_once(ReferenceKernel)
 
 
 class TestUntilResume:
@@ -247,6 +245,40 @@ class TestUntilResume:
         kernel.add_process("p", body)
         assert kernel.run(until=20.0) == 20.0
         assert ticks == [10.0, 20.0]
+
+    def test_process_added_after_cut_starts_now(self):
+        kernel = Kernel()
+        started = []
+
+        def ticker(p):
+            for _ in range(3):
+                yield 4.0
+
+        def late(p):
+            started.append(kernel.now)
+            yield 1.0
+            started.append(kernel.now)
+
+        kernel.add_process("ticker", ticker)
+        assert kernel.run(until=5.0) == 5.0
+        kernel.add_process("late", late)
+        assert kernel.run() == 12.0
+        assert started == [5.0, 6.0]
+
+    def test_until_before_now_rejected(self):
+        kernel = Kernel()
+
+        def body(p):
+            yield 5.0
+            yield 5.0
+
+        kernel.add_process("p", body)
+        assert kernel.run(until=5.0) == 5.0
+        with pytest.raises(ValueError) as info:
+            kernel.run(until=3.0)
+        assert "3.0" in str(info.value) and "5.0" in str(info.value)
+        assert kernel.now == 5.0
+        assert kernel.run() == 10.0
 
 
 class TestDeadlockDiagnostics:

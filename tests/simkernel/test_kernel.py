@@ -138,15 +138,3 @@ class TestFailures:
         with pytest.raises(DeadlockError) as info:
             kernel.run()
         assert "never" in str(info.value)
-
-    def test_trace_hook_sees_activations(self):
-        kernel = Kernel()
-        traced = []
-        kernel.trace = lambda t, name: traced.append((t, name))
-
-        def body(p):
-            yield 1.0
-
-        kernel.add_process("p", body)
-        kernel.run()
-        assert traced == [(0.0, "p"), (1.0, "p")]

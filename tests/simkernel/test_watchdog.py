@@ -133,6 +133,22 @@ class TestHorizon:
         with pytest.raises(HorizonExceeded):
             kernel.run(watchdog=Watchdog(max_sim_time=55.0))
 
+    def test_horizon_error_names_unfinished_processes(self):
+        kernel = Kernel()
+
+        def ticker(p):
+            while True:
+                yield 10.0
+
+        def done(p):
+            yield 1.0
+
+        kernel.add_process("ticker", ticker)
+        kernel.add_process("done", done)
+        with pytest.raises(HorizonExceeded) as exc_info:
+            kernel.run(watchdog=Watchdog(max_sim_time=55.0))
+        assert str(exc_info.value).endswith("unfinished: ticker (ready)")
+
     def test_run_ending_before_horizon_is_clean(self):
         kernel = Kernel()
 

@@ -384,6 +384,83 @@ class TestErrors:
             2, "error: line 1:25: malformed numeric literal\n",
         )
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(
+            lambda d: d["buses"][0].update(cycle_ns=float("nan")),
+            "bus 'bus0': cycle_ns must be a finite number >= 0, not nan",
+            id="cycle-nan"),
+        pytest.param(
+            lambda d: d["buses"][0].update(cycle_ns=float("inf")),
+            "bus 'bus0': cycle_ns must be a finite number >= 0, not inf",
+            id="cycle-inf"),
+        pytest.param(
+            lambda d: d["buses"][0].update(cycle_ns=-10.0),
+            "bus 'bus0': cycle_ns must be a finite number >= 0, not -10.0",
+            id="cycle-negative"),
+        pytest.param(
+            lambda d: d["buses"][0].update(words_per_cycle=0),
+            "bus 'bus0': words_per_cycle must be a finite number >= 1, "
+            "not 0",
+            id="width-zero"),
+        pytest.param(
+            lambda d: d["buses"][0].update(arbitration_cycles=-1),
+            "bus 'bus0': arbitration_cycles must be a finite number >= 0, "
+            "not -1",
+            id="arbitration-negative"),
+        pytest.param(
+            lambda d: d["buses"][0].update(policy="lottery"),
+            "bus 'bus0': unknown arbitration policy 'lottery' (choose "
+            "fifo, priority, rr)",
+            id="policy-unknown"),
+        pytest.param(
+            lambda d: d["buses"].append(dict(d["buses"][0])),
+            "duplicate bus 'bus0'",
+            id="bus-duplicate"),
+        pytest.param(
+            lambda d: d["pes"][0]["pum"].update(frequency_mhz=0),
+            "PE 'cpu': frequency_mhz must be finite and > 0, not 0",
+            id="clock-zero"),
+        pytest.param(
+            lambda d: d["pes"][0]["pum"].update(frequency_mhz=float("nan")),
+            "PE 'cpu': frequency_mhz must be finite and > 0, not nan",
+            id="clock-nan"),
+        pytest.param(
+            lambda d: d["pes"][0]["pum"].update(frequency_mhz=-100.0),
+            "PE 'cpu': frequency_mhz must be finite and > 0, not -100.0",
+            id="clock-negative"),
+        pytest.param(
+            lambda d: d["channels"][0].update(bus="nobus"),
+            "channel 'req' references unknown bus 'nobus'",
+            id="channel-unknown-bus"),
+        pytest.param(
+            lambda d: d["processes"][0].update(pe="nope"),
+            "process 'drv' mapped to unknown PE 'nope'",
+            id="process-unknown-pe"),
+    ])
+    def test_simulate_malformed_platform_exits_2(self, tmp_path, edit,
+                                                 message):
+        # A malformed platform value is bad input (exit 2, one ``error:``
+        # line) caught where the design is built, not a crash mid-run.
+        import json
+
+        from repro.pum import dct_hw, microblaze
+        from repro.tlm import Design, design_to_dict
+
+        design = Design("bad-platform")
+        design.add_pe("cpu", microblaze(2048, 2048))
+        design.add_pe("hw0", dct_hw())
+        design.add_bus("bus0")
+        design.add_channel(1, "req", "bus0")
+        design.add_process("drv", "int main(void) { return 0; }", "main",
+                           "cpu")
+        data = design_to_dict(design)
+        edit(data)
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(["simulate", str(path)]) == (
+            2, "error: %s\n" % message,
+        )
+
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             run_cli(["frobnicate"])

@@ -43,6 +43,7 @@ def _import_all_subsystems():
     import repro.search  # noqa: F401
     import repro.serve  # noqa: F401
     import repro.simkernel.kernel  # noqa: F401
+    import repro.tlm.platform  # noqa: F401
     import repro.trace.stream  # noqa: F401
 
 
@@ -53,7 +54,7 @@ class TestRegistry:
         for expected in (
             "bad-input", "aborted", "serve",                  # the bases
             "pum", "fault-scenario", "cache", "trace",        # bad input
-            "static-estimate", "search", "checkpoint",
+            "static-estimate", "search", "checkpoint", "platform",
             "cmini", "cmini-lex", "cmini-parse", "cmini-semantic",
             "simulation", "deadlock", "watchdog",             # aborted
             "wall-clock-exceeded", "horizon-exceeded",

@@ -3,9 +3,10 @@
 Unit level: :class:`ArbitratedBus` grant order per policy, queue counters,
 and the uncontended fast path's arithmetic identity with the plain bus.
 Model level: policy-less designs keep their bit-exact legacy makespans,
-arbitrated designs stay deterministic across schedulers and
-granularities and under fault injection, and simtrace recording refuses
-load-dependent arbitration (a recorded trace would bake one grant order in).
+arbitrated designs grant identically on the kernel and the heap oracle
+at every granularity and stay deterministic under fault injection, and
+simtrace recording refuses load-dependent arbitration (a recorded trace
+would bake one grant order in).
 """
 
 import pytest
@@ -23,6 +24,8 @@ from repro.tlm import (
     generate_tlm,
 )
 from repro.tlm.platform import BusDecl
+
+from ..simkernel.reference_kernel import ReferenceKernel, counters
 
 SMALL = Mp3Params(n_subbands=4, n_slots=4, n_phases=4, n_alias=2)
 
@@ -204,18 +207,22 @@ class TestModelContention:
         assert stats["stall_cycles"] > 0
 
     @pytest.mark.parametrize("granularity", ["transaction", "block"])
-    def test_deterministic_across_schedulers(self, granularity):
-        seen = set()
-        grants = set()
-        for scheduler in ("heap", "wheel"):
+    def test_deterministic_across_schedulers(self, granularity,
+                                             monkeypatch):
+        # The kernel and the heap oracle grant the bus identically.
+        outcomes = []
+        for kernel_cls in (Kernel, ReferenceKernel):
+            monkeypatch.setattr("repro.tlm.model.Kernel", kernel_cls)
             model = generate_tlm(_two_pair_design(policy="fifo"),
                                  granularity=granularity)
-            result = model.run(scheduler=scheduler)
+            result = model.run()
             assert result.makespan_cycles > 0
-            seen.add(result.makespan_cycles)
-            grants.add(tuple(sorted(result.bus_stats["bus0"].items())))
-        assert len(seen) == 1
-        assert len(grants) == 1
+            outcomes.append((
+                result.makespan_cycles,
+                sorted(result.bus_stats["bus0"].items()),
+                counters(result.kernel_stats),
+            ))
+        assert outcomes[0] == outcomes[1]
 
     def test_priorities_change_outcome_not_makespan_validity(self):
         fifo = generate_tlm(_two_pair_design(policy="fifo")).run()

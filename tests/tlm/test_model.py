@@ -133,3 +133,28 @@ class TestFailureInjection:
         assert cut.end_time_ns <= 1.0
         again = model.run()
         assert again.makespan_cycles == full.makespan_cycles
+
+
+class TestReferenceOracle:
+    def test_sw4_block_matches_heap_oracle(self, monkeypatch):
+        # The timed SW+4 decoder at block granularity (~196k events on five
+        # processes) runs identically on the kernel and the heap oracle.
+        from repro.apps.mp3 import Mp3Params, build_design
+
+        from ..simkernel.reference_kernel import ReferenceKernel, counters
+
+        design, _ = build_design("SW+4", Mp3Params(), n_frames=1, seed=3)
+        model = generate_tlm(design, timed=True, granularity="block")
+        outcomes = []
+        for kernel_cls in (None, ReferenceKernel):
+            if kernel_cls is not None:
+                monkeypatch.setattr("repro.tlm.model.Kernel", kernel_cls)
+            result = model.run()
+            outcomes.append((
+                result.end_time_ns,
+                {name: (p.cycles, p.transactions, p.return_value)
+                 for name, p in result.processes.items()},
+                counters(result.kernel_stats),
+            ))
+        assert result.kernel_stats["scheduler"] == "heap"
+        assert outcomes[0] == outcomes[1]

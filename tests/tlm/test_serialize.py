@@ -117,8 +117,16 @@ class TestCLITlm:
         out = io.StringIO()
         assert main(["simulate", str(path), "--kernel-stats"], out=out) == 0
         text = out.getvalue()
-        assert "scheduler=heap" in text
         assert "activations" in text and "fast-path" in text
+
+    def test_cli_scheduler_option_removed(self, tmp_path, capsys):
+        # One event loop: ``--scheduler`` is an unknown option (exit 2).
+        path = tmp_path / "design.json"
+        save_design(demo_design(), str(path))
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", str(path), "--scheduler", "heap"])
+        assert info.value.code == 2
+        assert "--scheduler" in capsys.readouterr().err
 
     def test_cli_engine_option_removed(self, tmp_path, capsys):
         # One process model: ``--engine`` is an unknown option (exit 2).

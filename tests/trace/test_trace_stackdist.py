@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cycle.caches import BYTES_PER_WORD, CacheError, make_cache
 from repro.trace import CacheGeometry, LineStream, TraceError, evaluate_stream
-from repro.trace.stackdist import HAVE_NUMPY
 
 
 def replay(stream, geom):
@@ -55,7 +54,6 @@ class TestBitIdentity:
         for geom, got in zip(geometries, results):
             assert got == replay(stream, geom), geom
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     @given(stream_and_geometries())
     @settings(max_examples=120, deadline=None)
     def test_vector_engine_matches_stack_engine(self, case):
@@ -72,7 +70,7 @@ class TestBitIdentity:
 
     def test_empty_stream(self):
         stream = LineStream.from_lines([], line_words=8)
-        for engine in (["stack", "vector"] if HAVE_NUMPY else ["stack"]):
+        for engine in ("stack", "vector"):
             assert evaluate_stream(
                 stream, [CacheGeometry(2048), CacheGeometry(0)], engine=engine,
             ) == [(0, 0), (0, 0)]
@@ -101,10 +99,9 @@ class TestErrors:
     def test_vector_engine_rejects_high_associativity(self):
         stream = LineStream.from_lines([1, 2, 3], line_words=8)
         geom = CacheGeometry(2048, assoc=4)
-        if HAVE_NUMPY:
-            with pytest.raises(TraceError):
-                evaluate_stream(stream, [geom], engine="vector")
-        # auto engine handles it via the stack path either way
+        with pytest.raises(TraceError):
+            evaluate_stream(stream, [geom], engine="vector")
+        # the auto engine handles it via the stack path
         assert evaluate_stream(stream, [geom]) == [replay(stream, geom)]
 
     def test_unknown_engine_rejected(self):

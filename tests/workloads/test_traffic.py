@@ -3,14 +3,17 @@
 The engine spawns N instances of one design (private channels and CPU
 shares, shared buses) under a seeded arrival process.  These tests pin the
 spec's validation and determinism, the single-instance anchor (one instance
-== the plain TLM makespan), heap/wheel bit-identity at traffic scale,
-fault-scenario composition, and the per-instance latency statistics.
+== the plain TLM makespan), bit-identity with the heap oracle
+(``tests/simkernel/reference_kernel.py``) at traffic scale, watchdog
+transparency, fault-scenario composition, and the per-instance latency
+statistics.
 """
 
 import pytest
 
 from repro.apps.mp3 import Mp3Params, build_design
 from repro.faults import ChannelFault, FaultScenario
+from repro.simkernel import Watchdog
 from repro.tlm import generate_tlm
 from repro.workloads import (
     TrafficError,
@@ -18,6 +21,8 @@ from repro.workloads import (
     capture_traffic_profile,
     run_traffic,
 )
+
+from ..simkernel.reference_kernel import ReferenceKernel, counters
 
 SMALL = Mp3Params(n_subbands=4, n_slots=4, n_phases=4, n_alias=2)
 
@@ -28,6 +33,33 @@ def _design(policy=None):
         for bus in design.buses.values():
             bus.policy = policy
     return design
+
+
+def _outcome(result):
+    """What a kernel run must reproduce: timing, per-instance latencies,
+    bus and fault counters, and the kernel's own counters."""
+    return (
+        result.makespan_cycles,
+        result.end_time_ns,
+        result.latencies_cycles,
+        result.bus_stats,
+        result.fault_stats,
+        counters(result.kernel_stats),
+    )
+
+
+def _use_oracle(monkeypatch):
+    """Run every later TLM capture and traffic kernel on the heap oracle."""
+    monkeypatch.setattr("repro.tlm.model.Kernel", ReferenceKernel)
+    monkeypatch.setattr("repro.workloads.traffic.Kernel", ReferenceKernel)
+
+
+#: N=64 fifo points: every instance arriving at once, and bursts of 8.
+ORACLE_SPECS = [
+    TrafficSpec(64, arrivals="bursty", burst_size=64, mean_gap_cycles=0.0),
+    TrafficSpec(64, arrivals="bursty", burst_size=8, mean_gap_cycles=300.0,
+                seed=5),
+]
 
 
 class TestTrafficSpec:
@@ -85,20 +117,30 @@ class TestRunTraffic:
         assert traffic.n_instances == 1
         assert traffic.latencies_cycles == [plain.makespan_cycles]
 
-    def test_heap_and_wheel_bit_identical(self):
-        spec = TrafficSpec(24, arrivals="poisson", mean_gap_cycles=300.0,
-                           seed=5)
-        outcomes = set()
-        for scheduler in ("heap", "wheel"):
-            result = run_traffic(_design("fifo"), spec, scheduler=scheduler)
-            assert result.kernel_stats["scheduler"] == scheduler
-            outcomes.add((
-                result.makespan_cycles,
-                tuple(result.latencies_cycles),
-                result.kernel_stats["activations"],
-                result.kernel_stats["events_scheduled"],
-            ))
-        assert len(outcomes) == 1
+    def test_heap_and_wheel_bit_identical(self, monkeypatch):
+        """The bucket kernel (which reports scheduler ``"wheel"``) matches
+        the heap oracle on lockstep and bursty N=64 fifo traffic."""
+        kernel = [run_traffic(_design("fifo"), spec)
+                  for spec in ORACLE_SPECS]
+        assert all(r.kernel_stats["scheduler"] == "wheel" for r in kernel)
+        assert all(r.bus_stats["sysbus"]["queued_grants"] > 0 for r in kernel)
+        _use_oracle(monkeypatch)
+        oracle = [run_traffic(_design("fifo"), spec)
+                  for spec in ORACLE_SPECS]
+        assert all(r.kernel_stats["scheduler"] == "heap" for r in oracle)
+        assert ([_outcome(r) for r in kernel]
+                == [_outcome(r) for r in oracle])
+
+    def test_generous_watchdog_changes_nothing(self):
+        """An armed watchdog that never trips drains the buckets in chunks
+        and returns exactly what the unarmed run does."""
+        generous = Watchdog(max_wall_seconds=3600.0, max_sim_time=1e15,
+                            max_stalled_activations=10_000,
+                            wall_check_interval=7)
+        spec = ORACLE_SPECS[0]
+        plain = run_traffic(_design("fifo"), spec)
+        armed = run_traffic(_design("fifo"), spec, watchdog=generous)
+        assert _outcome(armed) == _outcome(plain)
 
     def test_fixed_seed_is_reproducible(self):
         spec = TrafficSpec(8, arrivals="bursty", burst_size=4, seed=21)
@@ -161,28 +203,19 @@ class TestRunTraffic:
         assert runs[0].makespan_cycles > clean.makespan_cycles
 
     @pytest.mark.parametrize("n", [1, 64, 130])
-    def test_schedulers_identical_under_faults(self, n):
+    def test_schedulers_identical_under_faults(self, n, monkeypatch):
         """Fault injection composed with traffic must stay bit-identical
-        across event-queue implementations at any instance count."""
+        between the kernel and the heap oracle at any instance count."""
         slow = FaultScenario("slow", faults=[
             ChannelFault("delay", "filter_l_req", cycles=64),
         ])
         spec = TrafficSpec(n, arrivals="poisson", mean_gap_cycles=350.0,
                            seed=13)
-        outcomes = []
-        for scheduler in ("heap", "wheel"):
-            result = run_traffic(_design("fifo"), spec,
-                                 scheduler=scheduler, faults=slow)
-            assert result.kernel_stats["scheduler"] == scheduler
-            assert result.fault_stats["total_events"] > 0
-            outcomes.append((
-                result.makespan_cycles,
-                result.end_time_ns,
-                result.latencies_cycles,
-                result.fault_stats,
-                result.bus_stats,
-            ))
-        assert outcomes[0] == outcomes[1]
+        kernel = run_traffic(_design("fifo"), spec, faults=slow)
+        assert kernel.fault_stats["total_events"] > 0
+        _use_oracle(monkeypatch)
+        oracle = run_traffic(_design("fifo"), spec, faults=slow)
+        assert _outcome(kernel) == _outcome(oracle)
 
 
 class TestExploreIntegration:

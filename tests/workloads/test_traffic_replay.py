@@ -3,12 +3,15 @@
 The replay tier (:mod:`repro.workloads.traffic_replay`) evaluates
 N-instance traffic points from ONE recorded instance trace without the
 kernel.  These tests pin its exactness contract: fifo replays are
-bit-identical to the kernel across schedulers, granularities and instance
-counts; priority/rr replays are cross-validated and a divergence falls the
-whole group back to kernel runs; flagged points (simultaneous requests,
-contended release boundaries) individually fall back; unsupported shapes
-fall back wholesale — the tier is never silently wrong, only slower.
+bit-identical to the kernel (and to the heap scheduler kept as its test
+oracle) across granularities and instance counts; priority/rr replays are
+cross-validated and a divergence falls the whole group back to kernel
+runs; flagged points (simultaneous requests, contended release
+boundaries) individually fall back; unsupported shapes fall back
+wholesale — the tier is never silently wrong, only slower.
 """
+
+import random
 
 import pytest
 
@@ -22,6 +25,8 @@ from repro.workloads import (
     run_traffic,
 )
 from repro.workloads import traffic_replay
+
+from ..simkernel.reference_kernel import ReferenceKernel
 
 SMALL = Mp3Params(n_subbands=4, n_slots=4, n_phases=4, n_alias=2)
 
@@ -57,26 +62,30 @@ class TestFifoBitIdentity:
     @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
     @pytest.mark.parametrize("granularity", ["transaction", "block"])
     @pytest.mark.parametrize("n", [1, 8, 64])
-    def test_replay_matches_kernel(self, scheduler, granularity, n):
+    def test_replay_matches_kernel(self, scheduler, granularity, n,
+                                   monkeypatch):
         """The acceptance property: fifo replay is bit-identical to the
-        kernel — makespan, end time, every latency, every bus counter."""
+        kernel — makespan, end time, every latency, every bus counter.
+        The kernel side runs on the production event loop (``"wheel"``)
+        and on the heap oracle (``"heap"``)."""
         spec = _poisson(n)
         results, stats = replay_traffic_sweep(
-            _design(), [spec], granularity=granularity,
-            scheduler=scheduler, validate_n=0,
+            _design(), [spec], granularity=granularity, validate_n=0,
         )
         assert stats["replayed"] == 1  # really took the analytic path
         assert results[0].replayed
-        kernel = run_traffic(
-            _design(), spec, granularity=granularity, scheduler=scheduler,
-        )
+        if scheduler == "heap":
+            monkeypatch.setattr("repro.workloads.traffic.Kernel",
+                                ReferenceKernel)
+        kernel = run_traffic(_design(), spec, granularity=granularity)
+        assert kernel.kernel_stats["scheduler"] == scheduler
         assert _key(results[0]) == _key(kernel)
 
     def test_replayed_result_reports_replay_engine(self):
         results, stats = replay_traffic_sweep(
             _design(), [_poisson(8)], validate_n=0)
         assert results[0].kernel_stats["engine"] == "replay"
-        assert results[0].scheduler == "replay"
+        assert results[0].replayed
         assert stats["self_check"] == "ok"
 
     def test_sweep_shares_one_capture(self):
@@ -96,21 +105,26 @@ class TestFifoBitIdentity:
 
 
 class TestScalarFallbackEngine:
-    def test_scalar_engine_bit_identical(self, monkeypatch):
-        """Without numpy the pure-Python fold must produce the exact same
-        floats (both are the same left-to-right summation order)."""
+    def test_scalar_engine_bit_identical(self):
+        """The numpy folds (one ``add.accumulate`` over a lane grid or a
+        long segment) produce the exact floats of the scalar left fold —
+        both sum left to right."""
+        rng = random.Random("fold")
+        deltas = [rng.choice((10.0, 0.1, 3.3, 1e-3, 7.77))
+                  * rng.randrange(1, 1000) for _ in range(300)]
+        starts = [rng.uniform(0.0, 1e7) for _ in range(40)]
+        scalar = [traffic_replay._chain(t, deltas) for t in starts]
+        # over 256 cells, so _chain_rows takes the numpy grid pass
+        assert traffic_replay._chain_rows(starts, deltas) == scalar
+        segment = traffic_replay._Node(deltas).arr  # > 64 deltas: numpy
+        assert segment is not None
+        assert [traffic_replay._chain(t, deltas, segment)
+                for t in starts] == scalar
         spec = _poisson(16)
-        vec_results, vec_stats = replay_traffic_sweep(
+        results, stats = replay_traffic_sweep(
             _design(), [spec], validate_n=0)
-        monkeypatch.setattr(traffic_replay, "HAVE_NUMPY", False)
-        scal_results, scal_stats = replay_traffic_sweep(
-            _design(), [spec], validate_n=0)
-        assert scal_stats["engine"] == "scalar"
-        assert scal_stats["replayed"] == 1
-        assert _key(scal_results[0]) == _key(vec_results[0])
-        if vec_stats["engine"] == "vectorized":
-            assert _key(vec_results[0]) == _key(
-                run_traffic(_design(), spec))
+        assert stats["replayed"] == 1
+        assert _key(results[0]) == _key(run_traffic(_design(), spec))
 
 
 class TestValidationPolicy:
