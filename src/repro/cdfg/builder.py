@@ -25,7 +25,7 @@ from .ir import IRFunction, IRProgram, Op
 
 def build_program(program, info):
     """Lower an analyzed AST ``program`` to an :class:`IRProgram`."""
-    ir_program = IRProgram(info)
+    ir_program = IRProgram()
     for name, symbol in info.globals.items():
         ir_program.globals[name] = (symbol.ctype, info.global_values[name])
     for decl in program.functions:

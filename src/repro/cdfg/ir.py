@@ -294,12 +294,11 @@ class IRFunction:
 class IRProgram:
     """A lowered CMini translation unit."""
 
-    def __init__(self, info=None):
+    def __init__(self):
         self.functions = {}
         #: name -> (ctype, initial_value) where initial_value is a scalar or
         #: a fully materialised list for arrays
         self.globals = {}
-        self.info = info
 
     def add_function(self, func):
         func.program = self

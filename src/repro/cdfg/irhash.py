@@ -5,21 +5,30 @@ stage by a digest of that stage's *complete* input:
 
 * :func:`source_fingerprint` — the front-end stage: the raw CMini text is
   the only input of ``parse_and_analyze`` + ``build_program``.
+* :func:`code_fingerprint` — the front-end's code-level entry: the code
+  text :func:`repro.cfrontend.datasplit.split_data` leaves once the
+  constant data lists are cut out.
 * :func:`ir_fingerprint` — the annotation and codegen stages: a canonical
-  serialisation of everything the downstream stages can observe — globals
-  (types and folded initial values), function signatures, locals, local
-  array initialisers, and every op of every block including its attributes.
+  serialisation of everything the downstream stages can observe — global
+  names and types, function signatures, locals, local array initialisers,
+  and every op of every block including its attributes.  Global *initial
+  values* stay out: no block delay and no generated line reads them
+  (generated code reads ``glob[...]``, which
+  :func:`~repro.cdfg.ir.global_storage` fills per instance), so sources
+  that differ only in their data share one annotation and one module.
 
 Unlike :func:`repro.estimation.schedcache.dfg_structural_hash` (which
 deliberately ignores names and literals so renamed blocks share schedule
-entries), these fingerprints are *content* hashes: any observable change to
-the program changes the digest.  Over-strong keys can only cost hits, never
-correctness — and per-block structural sharing still happens underneath in
-the schedule cache.
+entries), these fingerprints are *content* hashes: any change to what
+their stage observes changes the digest.  Over-strong keys can only cost
+hits, never correctness — and per-block structural sharing still happens
+underneath in the schedule cache.
 
-Both digests are stable across processes and Python runs (no ``repr`` of
+All digests are stable across processes and Python runs (no ``repr`` of
 object identities, no hash randomisation — only sorted names, opcode
-strings and literal values enter the digest).
+strings and literal values enter the digest).  Texts are encoded with
+``surrogatepass``, so two different texts never hash the same bytes (a
+lone surrogate no longer becomes ``?``).
 """
 
 from __future__ import annotations
@@ -28,7 +37,8 @@ import functools
 import hashlib
 
 #: Bump when the IR serialisation below (or IR semantics) changes shape.
-IR_HASH_VERSION = 1
+#: Version 2 dropped global initial values from :func:`ir_fingerprint`.
+IR_HASH_VERSION = 2
 
 #: Sources whose digests :func:`source_fingerprint` remembers.  A sweep
 #: asks for a handful of distinct sources thousands of times; a served
@@ -37,14 +47,23 @@ IR_HASH_VERSION = 1
 SOURCE_MEMO_ENTRIES = 16
 
 
+def _text_digest(tag, text):
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(b"%s/v%d\x00" % (tag, IR_HASH_VERSION))
+    digest.update(text.encode("utf-8", "surrogatepass"))
+    return digest.hexdigest()
+
+
 @functools.lru_cache(maxsize=SOURCE_MEMO_ENTRIES)
 def source_fingerprint(source):
     """Stable digest of one process's CMini source text (memoised on the
     text for the last :data:`SOURCE_MEMO_ENTRIES` sources)."""
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(b"src/v%d\x00" % IR_HASH_VERSION)
-    digest.update(source.encode("utf-8", "replace"))
-    return digest.hexdigest()
+    return _text_digest(b"src", source)
+
+
+def code_fingerprint(code_text):
+    """Stable digest of a source's code text (its data lists cut out)."""
+    return _text_digest(b"code", code_text)
 
 
 def _fmt_value(value):
@@ -91,15 +110,15 @@ def _emit_function(parts, func):
 
 
 def ir_fingerprint(ir_program):
-    """Canonical content digest of a lowered :class:`IRProgram`."""
+    """Canonical code digest of a lowered :class:`IRProgram`: global names
+    and types, not their initial values."""
     parts = ["ir/v%d" % IR_HASH_VERSION]
     for name in sorted(ir_program.globals):
-        ctype, init = ir_program.globals[name]
-        parts.append("global %s %s %s"
-                     % (name, _fmt_value(ctype), _fmt_value(init)))
+        parts.append("global %s %s"
+                     % (name, _fmt_value(ir_program.globals[name][0])))
     for name in sorted(ir_program.functions):
         _emit_function(parts, ir_program.function(name))
     digest = hashlib.blake2b(
-        "\n".join(parts).encode("utf-8", "replace"), digest_size=16
+        "\n".join(parts).encode("utf-8", "surrogatepass"), digest_size=16
     )
     return digest.hexdigest()

@@ -78,18 +78,27 @@ _OPERATORS = [
 
 _PUNCTUATION = "(){}[];,"
 
+# The sub-patterns that define whitespace, comments and numeric literals;
+# :mod:`repro.cfrontend.datasplit` composes its scan from the same strings.
+# Numbers match greedily: a float needs a ``.``, an exponent or an ``f``
+# suffix, and ``0x`` without digits still matches ``HEX_LITERAL`` so it can
+# be reported.
+WHITESPACE = r"[ \t\r\n]"
+COMMENT = r"//[^\n]*|/\*.*?\*/"
+HEX_LITERAL = r"0[xX][0-9a-fA-F]*"
+FLOAT_LITERAL = (r"(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[fF]?"
+                 r"|[0-9]+(?:[eE][+-]?[0-9]+[fF]?|[fF])")
+INT_LITERAL = r"[0-9]+"
+
 # Alternatives are tried in order.  Comments come before the operators so
 # ``/*`` and ``//`` never lex as ``/``; a ``/*`` that ``skip`` cannot close
-# falls through to ``open_comment``.  Numbers match greedily: a float needs a
-# ``.``, an exponent or an ``f`` suffix, and ``0x`` without digits still
-# matches ``hex`` so it can be reported.
+# falls through to ``open_comment``.
 _TOKEN_RE = re.compile(
-    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)"
+    r"(?P<skip>(?:" + WHITESPACE + "+|" + COMMENT + r")+)"
     r"|(?P<open_comment>/\*)"
-    r"|(?P<hex>0[xX][0-9a-fA-F]*)"
-    r"|(?P<float>(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[fF]?"
-    r"|[0-9]+(?:[eE][+-]?[0-9]+[fF]?|[fF]))"
-    r"|(?P<int>[0-9]+)"
+    r"|(?P<hex>" + HEX_LITERAL + ")"
+    r"|(?P<float>" + FLOAT_LITERAL + ")"
+    r"|(?P<int>" + INT_LITERAL + ")"
     r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")"
     r"|(?P<punct>[" + re.escape(_PUNCTUATION) + "])"
@@ -136,6 +145,17 @@ class Token:
         return hash((self.kind, self.value))
 
 
+def literal_value(kind, text):
+    """The value of a numeric literal matched by the ``kind`` sub-pattern
+    (``"int"``, ``"float"`` or ``"hex"``): base-10 or base-16 ints, and
+    floats with any ``f``/``F`` suffix stripped."""
+    if kind == "int":
+        return int(text, 10)
+    if kind == "float":
+        return float(text.rstrip("fF"))
+    return int(text, 16)
+
+
 def tokenize(source):
     """Return the token list of ``source``, terminated by an ``eof`` token.
 
@@ -167,12 +187,8 @@ def tokenize(source):
                 raise LexError("malformed hex literal", line, col)
             if source[match.end() : match.end() + 1] in _WORD_START:
                 raise LexError("malformed numeric literal", line, col)
-            if kind == "int":
-                append(Token("int", int(text, 10), line, col))
-            elif kind == "float":
-                append(Token("float", float(text.rstrip("fF")), line, col))
-            else:
-                append(Token("int", int(text, 16), line, col))
+            append(Token("float" if kind == "float" else "int",
+                         literal_value(kind, text), line, col))
         elif kind == "open_comment":
             raise LexError("unterminated block comment", line)
         else:

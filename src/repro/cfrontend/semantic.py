@@ -155,7 +155,9 @@ class Analyzer:
         self.info.globals[decl.name] = symbol
         value = self._eval_global_init(decl, ctype)
         self.info.global_values[decl.name] = value
-        if decl.is_const:
+        # Only scalars fold: an array's elements are data, which no code
+        # may depend on (see :mod:`repro.cfrontend.datasplit`).
+        if decl.is_const and not is_array(ctype):
             self._const_env[decl.name] = value
 
     def _eval_global_init(self, decl, ctype):

@@ -36,6 +36,7 @@ from .errors import InputError
 from .ioutil import atomic_write_json
 from .parallel import fork_map, get_payload
 from .tlm.generator import (
+    CODE_IR_KIND,
     DELAYS_KIND,
     GENSRC_KIND,
     GenerationReport,
@@ -47,7 +48,7 @@ from .tlm.generator import (
 #: Artifact kinds a prewarm child ships back to the parent.  ``tlm-code``
 #: is excluded: code objects don't pickle, and workers recompile cached
 #: source in microseconds anyway.
-_PREWARM_KINDS = (IR_KIND, DELAYS_KIND, GENSRC_KIND)
+_PREWARM_KINDS = (IR_KIND, CODE_IR_KIND, DELAYS_KIND, GENSRC_KIND)
 
 #: Checkpoint-file format version.
 CHECKPOINT_FORMAT_VERSION = 1

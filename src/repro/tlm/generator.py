@@ -21,8 +21,10 @@ a content hash of its complete input and backed by an
 stage      key                                           value (kind)
 ========== ============================================= ==================
 frontend   ``source_fingerprint(source)``                lowered IR + its
-                                                         fingerprint
+                                                         code fingerprint
                                                          (``tlm-ir``)
+           on a miss: ``code_fingerprint(code text)``    the code part
+                                                         (``tlm-ir-code``)
 annotate   ``ir_fp / pum_fp / i<icache> / d<dcache>``    per-function block
                                                          delays + their total
                                                          (``tlm-delays``)
@@ -41,6 +43,16 @@ annotation key includes the configured cache sizes because the Algorithm-2
 cache terms read them — unlike the per-block schedule memo, whose
 Algorithm-1 inputs do not (see :func:`repro.pum.pum_fingerprint`).
 
+A new input to the same process changes only its constant data (the
+global brace lists of numeric literals, see
+:mod:`repro.cfrontend.datasplit`).  A ``tlm-ir`` miss therefore first
+looks the source's code text up in ``tlm-ir-code`` and, on a hit, binds
+the new lists into a program that shares the cached functions; only a
+new code text is parsed and lowered.  The IR fingerprint covers code
+alone (global names and types, not values), so annotation and codegen
+hit too: the paper annotates and compiles each process once and then
+runs it on inputs.
+
 ``generate_tlm(..., store=False)`` opts a single call out; ``store=None``
 (default) uses the process-wide default store (``REPRO_ARTIFACTS`` /
 ``REPRO_ARTIFACTS_DIR``), falling back to a private per-call store so
@@ -53,7 +65,14 @@ import time
 
 from ..artifacts import ArtifactStore, content_key, default_store, register_kind
 from ..cdfg.builder import build_program
-from ..cdfg.irhash import ir_fingerprint, source_fingerprint
+from ..cdfg.ir import IRProgram
+from ..cdfg.irhash import code_fingerprint, ir_fingerprint, source_fingerprint
+from ..cfrontend.datasplit import (
+    CONVERSION_ERRORS,
+    data_globals,
+    list_values,
+    split_data,
+)
 from ..cfrontend.semantic import parse_and_analyze
 from ..codegen.pygen import (
     generate_source,
@@ -67,10 +86,14 @@ from .model import TLModel
 #: The three cacheable stages, in pipeline order.
 STAGES = ("frontend", "annotate", "codegen")
 
-#: Lowered IR programs (plus their content fingerprint), keyed by source
+#: Lowered IR programs (plus their code fingerprint), keyed by source
 #: fingerprint.  Memory-only: IR objects are cheap to rebuild and expensive
 #: to serialise.
 IR_KIND = "tlm-ir"
+
+#: The data-independent part of a lowered source (a :class:`CodeIR`), keyed
+#: by the fingerprint of its code text.  Memory-only, like ``tlm-ir``.
+CODE_IR_KIND = "tlm-ir-code"
 
 #: Per-function block-delay vectors and their total, keyed by IR × PUM
 #: (incl. cache sizes).
@@ -85,6 +108,7 @@ GENSRC_KIND = "tlm-gensrc"
 CODE_KIND = "tlm-code"
 
 register_kind(IR_KIND, version=1, disk=False)
+register_kind(CODE_IR_KIND, version=1, disk=False)
 # Version 2 added the stored delay ``total``; v1 entries on disk are stale.
 register_kind(DELAYS_KIND, version=2, disk=True)
 register_kind(GENSRC_KIND, version=1, disk=True)
@@ -209,18 +233,91 @@ def _resolve_store(store):
     return store
 
 
+class CodeIR:
+    """One code text's lowered program, ready to take new data.
+
+    ``program`` is the IR of the first source seen with this code text and
+    ``fingerprint`` its :func:`ir_fingerprint`, which no data enters.
+    ``slots`` names the global array each of the source's data lists
+    initialises and ``texts`` holds those lists, in source order.
+    """
+
+    __slots__ = ("program", "fingerprint", "slots", "texts")
+
+    def __init__(self, program, fingerprint, slots, texts):
+        self.program = program
+        self.fingerprint = fingerprint
+        self.slots = slots
+        self.texts = texts
+
+    @classmethod
+    def verified(cls, program, fingerprint, info, lists):
+        """The code part of a fully parsed source, or ``None`` unless
+        binding its own data ``lists`` gives exactly its parsed globals."""
+        slots = data_globals(info)
+        if len(slots) != len(lists):
+            return None
+        for name, text in zip(slots, lists):
+            ctype, value = program.globals[name]
+            try:
+                bound = list_values(text, ctype)
+            except CONVERSION_ERRORS:
+                return None
+            if repr(bound) != repr(value):
+                return None
+        return cls(program, fingerprint, slots, lists)
+
+    def bind(self, lists):
+        """``(IR program, fingerprint)`` of a source with this code text and
+        data ``lists``: a new program sharing the cached functions, or
+        ``None`` when a list does not convert (the full parse then raises
+        what a cold parse raises).  A list equal to the cached one shares
+        its value."""
+        if len(lists) != len(self.slots):
+            return None
+        program = IRProgram()
+        program.functions = self.program.functions
+        program.globals = values = dict(self.program.globals)
+        try:
+            for name, text, known in zip(self.slots, lists, self.texts):
+                if text != known:
+                    ctype = values[name][0]
+                    values[name] = (ctype, list_values(text, ctype))
+        except CONVERSION_ERRORS:
+            return None
+        return program, self.fingerprint
+
+
+def _lower_source(store, source):
+    """``(lowered IR, IR fingerprint)`` of ``source``: its data bound into
+    the code of an earlier source with the same code text, else a full
+    parse whose code part is cached for the next such source."""
+    code_text, lists = split_data(source)
+    code_key = code_fingerprint(code_text)
+    code = store.get(CODE_IR_KIND, code_key)
+    if code is not None:
+        bound = code.bind(lists)
+        if bound is not None:
+            return bound
+    program, info = parse_and_analyze(source)
+    ir_program = build_program(program, info)
+    lowered = (ir_program, ir_fingerprint(ir_program))
+    if code is None:
+        code = CodeIR.verified(*lowered, info, lists)
+        if code is not None:
+            store.put(CODE_IR_KIND, code_key, code)
+    return lowered
+
+
 def _frontend_stage(store, report, decl):
     """Source text → (lowered IR, IR fingerprint)."""
     start = time.perf_counter()
     key = source_fingerprint(decl.source)
     cached = store.get(IR_KIND, key)
-    if cached is None:
-        ir_program = compile_process(decl)
-        cached = (ir_program, ir_fingerprint(ir_program))
+    hit = cached is not None
+    if not hit:
+        cached = _lower_source(store, decl.source)
         store.put(IR_KIND, key, cached)
-        hit = False
-    else:
-        hit = True
     report._account("frontend", time.perf_counter() - start, hit)
     return cached
 

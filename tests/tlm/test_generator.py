@@ -185,3 +185,39 @@ class TestGenerationReportTimers:
         assert merged["total_seconds"] == pytest.approx(
             sum(r.total_seconds for r in reports)
         )
+
+
+class TestRetainedMemory:
+    """What one more decoder input keeps alive on a warm store: its IR
+    entry, its data and its memoised source text, not a new parse tree,
+    IR, annotation and module (a served ``edit`` op's growth)."""
+
+    INPUTS = 8
+    BOUND_BYTES = 150 * 1024
+
+    def test_fresh_inputs_retain_little(self):
+        import gc
+        import tracemalloc
+
+        from repro.apps.mp3 import Mp3Params, build_design
+        from repro.artifacts import ArtifactStore
+
+        store = ArtifactStore()
+
+        def generate(seed):
+            design, _ = build_design("SW+2", Mp3Params(), n_frames=1,
+                                     seed=seed)
+            generate_tlm(design, timed=True, store=store)
+
+        for seed in range(4):
+            generate(100 + seed)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for seed in range(4, 4 + self.INPUTS):
+                generate(100 + seed)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert grown / self.INPUTS < self.BOUND_BYTES
