@@ -1,11 +1,12 @@
 """Table-1-shaped speed benchmark for the simulation fast path.
 
 Times, per MP3 design variant, the four simulators of the paper's Table 1 —
-functional TLM, timed TLM (optimizing code generator), ISS and PCAM.
+functional TLM, timed TLM (structured code generator), ISS and PCAM.
 
 The ``equivalence`` tests pin every estimate to the seed kernel's numbers:
-timed-TLM ``makespan_cycles`` must be bit-identical across optimization
-levels and sync granularities, and the ISS / PCAM cycle counts must be
+timed-TLM ``makespan_cycles`` must be bit-identical between the structured
+and the linear emission (:func:`repro.codegen.pygen.generate_linear_source`)
+at every sync granularity, and the ISS / PCAM cycle counts must be
 unchanged by their pre-decoded dispatch loops and by running PCAM hardware
 units as kernel generator processes.  CI runs exactly these via
 ``-k equivalence`` on a reduced workload.
@@ -26,7 +27,7 @@ from repro.isa import compile_program
 from repro.iss import ISS
 from repro.reporting import Table, fmt_seconds
 from repro.tlm import generate_tlm
-from repro.tlm.generator import compile_process
+from repro.tlm.generator import compile_process, linear_emission
 
 EVAL_SEED = 7  # matches conftest: the goldens below were built with it
 ICACHE, DCACHE = 8192, 4096
@@ -85,15 +86,17 @@ def design_for():
 
 @pytest.fixture(scope="module")
 def baseline_makespan(design_for):
-    """Seed-equivalent reference: unoptimized codegen."""
+    """Seed-equivalent reference: the linear emission (a private store, so
+    no structured module is reused)."""
     cache = {}
 
     def get(variant, n_frames):
         key = (variant, n_frames)
         if key not in cache:
-            model = generate_tlm(
-                design_for(variant, n_frames), timed=True, optimize=False,
-            )
+            with linear_emission():
+                model = generate_tlm(
+                    design_for(variant, n_frames), timed=True, store=False,
+                )
             cache[key] = model.run().makespan_cycles
         return cache[key]
 
@@ -111,7 +114,7 @@ def test_equivalence_timed_tlm(variant, granularity, design_for,
         assert reference == TLM_GOLDENS[(variant, eval_frames)]
     model = generate_tlm(
         design_for(variant, eval_frames), timed=True,
-        optimize=True, granularity=granularity,
+        granularity=granularity,
     )
     result = model.run()
     assert result.makespan_cycles == reference
@@ -175,8 +178,8 @@ def test_render_tlm_speed(tables, metrics, eval_frames):
         )
     tables["tlm_speed"] = table.render() + (
         "\n(TLM columns decode %d frame(s); ISS/PCAM decode %d. "
-        "'TLM timed' runs the optimizing codegen; its makespans are "
-        "bit-identical to unoptimized code at every sync granularity.)"
+        "'TLM timed' runs the structured codegen; its makespans are "
+        "bit-identical to the linear emission at every sync granularity.)"
         % (eval_frames, PCAM_FRAMES)
     )
 

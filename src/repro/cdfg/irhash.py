@@ -10,12 +10,14 @@ stage by a digest of that stage's *complete* input:
   constant data lists are cut out.
 * :func:`ir_fingerprint` — the annotation and codegen stages: a canonical
   serialisation of everything the downstream stages can observe — global
-  names and types, function signatures, locals, local array initialisers,
-  and every op of every block including its attributes.  Global *initial
-  values* stay out: no block delay and no generated line reads them
-  (generated code reads ``glob[...]``, which
-  :func:`~repro.cdfg.ir.global_storage` fills per instance), so sources
-  that differ only in their data share one annotation and one module.
+  names and types, the initial values of scalar globals (the code
+  generator folds the ones no code stores into literals), function
+  signatures, locals, local array initialisers, and every op of every
+  block including its attributes.  Global *array* values stay out: no
+  block delay and no generated line reads them (generated code reads
+  ``glob[...]``, which :func:`~repro.cdfg.ir.global_storage` fills per
+  instance), so sources that differ only in their data lists share one
+  annotation and one module.
 
 Unlike :func:`repro.estimation.schedcache.dfg_structural_hash` (which
 deliberately ignores names and literals so renamed blocks share schedule
@@ -36,9 +38,12 @@ from __future__ import annotations
 import functools
 import hashlib
 
+from ..cfrontend.ctypes_ import is_array
+
 #: Bump when the IR serialisation below (or IR semantics) changes shape.
-#: Version 2 dropped global initial values from :func:`ir_fingerprint`.
-IR_HASH_VERSION = 2
+#: Version 2 dropped global initial values from :func:`ir_fingerprint`;
+#: version 3 brought scalar globals' values back.
+IR_HASH_VERSION = 3
 
 #: Sources whose digests :func:`source_fingerprint` remembers.  A sweep
 #: asks for a handful of distinct sources thousands of times; a served
@@ -111,11 +116,13 @@ def _emit_function(parts, func):
 
 def ir_fingerprint(ir_program):
     """Canonical code digest of a lowered :class:`IRProgram`: global names
-    and types, not their initial values."""
+    and types and scalar globals' initial values, not array contents."""
     parts = ["ir/v%d" % IR_HASH_VERSION]
     for name in sorted(ir_program.globals):
-        parts.append("global %s %s"
-                     % (name, _fmt_value(ir_program.globals[name][0])))
+        ctype, value = ir_program.globals[name]
+        parts.append("global %s %s" % (name, _fmt_value(ctype)))
+        if not is_array(ctype):
+            parts.append("= " + _fmt_value(value))
     for name in sorted(ir_program.functions):
         _emit_function(parts, ir_program.function(name))
     digest = hashlib.blake2b(

@@ -30,7 +30,7 @@ _ARITH = frozenset(["+", "-", "*", "/", "%"])
 class Symbol:
     """A resolved variable symbol."""
 
-    __slots__ = ("name", "ctype", "kind", "is_const", "decl")
+    __slots__ = ("name", "ctype", "kind", "is_const", "decl", "value")
 
     def __init__(self, name, ctype, kind, is_const=False, decl=None):
         self.name = name
@@ -38,6 +38,9 @@ class Symbol:
         self.kind = kind  # "global" | "param" | "local"
         self.is_const = is_const
         self.decl = decl
+        #: the folded value of a ``const`` scalar with a constant
+        #: initializer (``None`` otherwise)
+        self.value = None
 
     def __repr__(self):
         return "Symbol(%r, %r, %r)" % (self.name, self.ctype, self.kind)
@@ -91,7 +94,6 @@ class Analyzer:
         self.program = program
         self.info = ProgramInfo()
         self._global_scope = _Scope()
-        self._const_env = {}  # name -> python value, for const folding
         self._current = None  # FuncInfo being analyzed
         self._loop_depth = 0
 
@@ -125,8 +127,9 @@ class Analyzer:
             decl.name, decl.ret_type, params, decl
         )
 
-    def _resolve_declared_type(self, decl):
-        """Resolve the parser's ``("array", base, size_expr)`` placeholder."""
+    def _resolve_declared_type(self, decl, scope):
+        """Resolve the parser's ``("array", base, size_expr)`` placeholder
+        (a size names constants visible in ``scope``)."""
         ctype = decl.ctype
         if isinstance(ctype, tuple) and ctype[0] == "array":
             _, base, size_expr = ctype
@@ -138,7 +141,7 @@ class Analyzer:
                     )
                 size = len(decl.init)
             else:
-                size = self._eval_const(size_expr)
+                size = self._eval_const(size_expr, scope)
                 if not isinstance(size, int):
                     raise SemanticError(
                         "array size of %r must be an integer constant" % decl.name,
@@ -149,7 +152,7 @@ class Analyzer:
         return ctype
 
     def _analyze_global(self, decl):
-        ctype = self._resolve_declared_type(decl)
+        ctype = self._resolve_declared_type(decl, self._global_scope)
         symbol = Symbol(decl.name, ctype, "global", decl.is_const, decl)
         self._global_scope.define(symbol, decl.line)
         self.info.globals[decl.name] = symbol
@@ -158,7 +161,7 @@ class Analyzer:
         # Only scalars fold: an array's elements are data, which no code
         # may depend on (see :mod:`repro.cfrontend.datasplit`).
         if decl.is_const and not is_array(ctype):
-            self._const_env[decl.name] = value
+            symbol.value = value
 
     def _eval_global_init(self, decl, ctype):
         if is_array(ctype):
@@ -174,7 +177,7 @@ class Analyzer:
                     )
                 for i, expr in enumerate(decl.init):
                     values[i] = self._coerce_const(
-                        self._eval_const(expr), ctype.elem
+                        self._eval_const(expr, self._global_scope), ctype.elem
                     )
             return values
         if decl.init is None:
@@ -183,7 +186,9 @@ class Analyzer:
             raise SemanticError(
                 "scalar %r cannot take a brace initializer" % decl.name, decl.line
             )
-        return self._coerce_const(self._eval_const(decl.init), ctype)
+        return self._coerce_const(
+            self._eval_const(decl.init, self._global_scope), ctype
+        )
 
     @staticmethod
     def _coerce_const(value, ctype):
@@ -191,20 +196,22 @@ class Analyzer:
             return float(value)
         return int(value)
 
-    def _eval_const(self, expr):
-        """Evaluate a compile-time constant expression."""
+    def _eval_const(self, expr, scope):
+        """Evaluate a compile-time constant expression; a name must resolve
+        in ``scope`` to a ``const`` scalar with a constant initializer."""
         if isinstance(expr, cast.IntLit):
             return expr.value
         if isinstance(expr, cast.FloatLit):
             return expr.value
         if isinstance(expr, cast.Name):
-            if expr.name in self._const_env:
-                return self._const_env[expr.name]
+            symbol = scope.lookup(expr.name)
+            if symbol is not None and symbol.value is not None:
+                return symbol.value
             raise SemanticError(
                 "%r is not a compile-time constant" % expr.name, expr.line
             )
         if isinstance(expr, cast.UnOp):
-            value = self._eval_const(expr.operand)
+            value = self._eval_const(expr.operand, scope)
             if expr.op == "-":
                 return -value
             if expr.op == "~":
@@ -212,14 +219,14 @@ class Analyzer:
             if expr.op == "!":
                 return 0 if value else 1
         if isinstance(expr, cast.BinOp):
-            left = self._eval_const(expr.left)
-            right = self._eval_const(expr.right)
+            left = self._eval_const(expr.left, scope)
+            right = self._eval_const(expr.right, scope)
             try:
                 return _fold_binop(expr.op, left, right)
             except ZeroDivisionError:
                 raise SemanticError("division by zero in constant", expr.line)
         if isinstance(expr, cast.Cast):
-            value = self._eval_const(expr.operand)
+            value = self._eval_const(expr.operand, scope)
             return self._coerce_const(value, expr.target)
         raise SemanticError("expression is not a compile-time constant", expr.line)
 
@@ -285,7 +292,7 @@ class Analyzer:
             raise SemanticError("unknown statement %r" % stmt, stmt.line)
 
     def _analyze_local_decl(self, decl, scope):
-        ctype = self._resolve_declared_type(decl)
+        ctype = self._resolve_declared_type(decl, scope)
         symbol = Symbol(decl.name, ctype, "local", decl.is_const, decl)
         scope.define(symbol, decl.line)
         self._current.locals.append(symbol)
@@ -298,7 +305,7 @@ class Analyzer:
                 # Local array initializers must be constant (like the paper's
                 # coefficient tables); fold them now.
                 folded = [
-                    self._coerce_const(self._eval_const(e), ctype.elem)
+                    self._coerce_const(self._eval_const(e, scope), ctype.elem)
                     for e in decl.init
                 ]
                 if len(folded) > ctype.size:
@@ -319,8 +326,8 @@ class Analyzer:
                     decl.init = _wrap_cast(decl.init, ctype)
             if decl.is_const and decl.init is not None:
                 try:
-                    self._const_env[decl.name] = self._coerce_const(
-                        self._eval_const(_strip_cast(decl.init)), ctype
+                    symbol.value = self._coerce_const(
+                        self._eval_const(_strip_cast(decl.init), scope), ctype
                     )
                 except SemanticError:
                     pass  # non-constant const locals are still valid variables

@@ -55,6 +55,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -239,7 +240,7 @@ def cmd_tlm(args, out):
         return _run_traffic_cli(args, out, design, scenario)
     model = generate_tlm(
         design, timed=not args.functional, granularity=args.granularity,
-        optimize=not args.no_optimize, quantum=args.quantum,
+        quantum=args.quantum,
     )
     watchdog = _build_watchdog(args, model.reference_cycle_ns)
     result = model.run(faults=scenario, watchdog=watchdog)
@@ -284,8 +285,7 @@ def _run_traffic_cli(args, out, design, scenario):
     from .tlm.model import REFERENCE_CYCLE_NS
 
     result = run_traffic(
-        design, spec, granularity=args.granularity,
-        optimize=not args.no_optimize, quantum=args.quantum,
+        design, spec, granularity=args.granularity, quantum=args.quantum,
         faults=scenario, watchdog=_build_watchdog(args, REFERENCE_CYCLE_NS),
     )
     summary = result.latency_summary()
@@ -944,7 +944,7 @@ def build_parser():
     p_run.add_argument("--entry", default="main", help="entry function")
     p_run.add_argument("--timed", action="store_true",
                        help="run the generated timed code and report cycles")
-    p_run.add_argument("args", nargs="*", default=[],
+    p_run.add_argument("args", nargs="*", default=(),
                        help="integer arguments for the entry function")
     _add_pum_options(p_run)
     p_run.set_defaults(func=cmd_run)
@@ -952,7 +952,7 @@ def build_parser():
     p_dis = sub.add_parser("disasm", help="compile to R32 and disassemble")
     p_dis.add_argument("source", help="CMini source file")
     p_dis.add_argument("--entry", default="main", help="entry function")
-    p_dis.add_argument("args", nargs="*", default=[],
+    p_dis.add_argument("args", nargs="*", default=(),
                        help="integer arguments for the entry function")
     p_dis.set_defaults(func=cmd_disasm)
 
@@ -962,7 +962,7 @@ def build_parser():
     p_prof.add_argument("--entry", default="main", help="entry function")
     p_prof.add_argument("--top", type=int, default=8,
                         help="number of hottest blocks to show")
-    p_prof.add_argument("args", nargs="*", default=[],
+    p_prof.add_argument("args", nargs="*", default=(),
                         help="integer arguments for the entry function")
     _add_pum_options(p_prof)
     p_prof.set_defaults(func=cmd_profile)
@@ -1085,9 +1085,6 @@ def build_parser():
     p_tlm.add_argument("--traffic-seed", type=int, default=0,
                        help="arrival-process seed; one seed => identical "
                             "per-instance latencies, forever (default: 0)")
-    p_tlm.add_argument("--no-optimize", action="store_true",
-                       help="emit unoptimized generated code (the "
-                            "equivalence baseline)")
     p_tlm.add_argument("--kernel-stats", action="store_true",
                        help="print scheduler activation/event counters")
     p_tlm.add_argument("--gen-stats", action="store_true",
@@ -1111,6 +1108,15 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser():
+    """The process's one argument parser.  A served worker answers every
+    request through :func:`main`; building the parser per call costs
+    milliseconds.  Parsing leaves the parser unchanged, and every default
+    it hands out is immutable, so no request sees another's state."""
+    return build_parser()
+
+
 def main(argv=None, out=None):
     out = out or sys.stdout
     argv = list(sys.argv[1:]) if argv is None else list(argv)
@@ -1119,8 +1125,7 @@ def main(argv=None, out=None):
         from .client import run_via_server
 
         return run_via_server(server, argv, out)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # Importing the subsystems registers their ReproError subclasses, so
     # the single taxonomy-driven except clause below covers them all
     # (see repro.errors for the code/exit-code conventions).

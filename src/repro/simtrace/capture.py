@@ -23,8 +23,8 @@ from .trace import (
 __all__ = ["capture_tlm_trace"]
 
 
-def capture_tlm_trace(design, granularity="transaction", optimize=True,
-                      quantum=None, store=None, report=None, watchdog=None):
+def capture_tlm_trace(design, granularity="transaction", quantum=None,
+                      store=None, report=None, watchdog=None):
     """One recorded timed simulation of ``design``.
 
     Returns ``(trace, tlm_result)`` — the result is the full
@@ -38,13 +38,13 @@ def capture_tlm_trace(design, granularity="transaction", optimize=True,
     design.validate()
     model = generate_tlm(
         design, timed=True, granularity=granularity, report=report,
-        optimize=optimize, quantum=quantum, store=store,
+        quantum=quantum, store=store,
     )
     recorder = TraceRecorder()
     result = model.run(watchdog=watchdog, record=recorder)
 
     signature = replay_signature(
-        design, granularity=granularity, quantum=quantum, optimize=optimize,
+        design, granularity=granularity, quantum=quantum,
     )
     processes = {}
     for name, decl in design.processes.items():
@@ -60,7 +60,6 @@ def capture_tlm_trace(design, granularity="transaction", optimize=True,
         design.name,
         granularity,
         quantum,
-        optimize,
         result.cycle_ns,
         processes,
         result.makespan_cycles,

@@ -57,9 +57,10 @@ __all__ = [
 #: Artifact kind for captured simulation traces.
 TRACE_KIND = "sim-trace"
 
-# Version 2 composes each PE's cached PUM fingerprint; traces stored under
-# v1 signatures are simply never looked up again.
-_SIG_VERSION = 2
+# Version 2 composes each PE's cached PUM fingerprint; version 3 drops the
+# code-generator flag (there is one code generator).  Traces stored under
+# older signatures are simply never looked up again.
+_SIG_VERSION = 3
 
 
 class SimTraceError(TraceError):
@@ -93,8 +94,8 @@ class SimTrace:
 
     Attributes:
         design_name: name of the traced design (diagnostics only).
-        granularity / quantum / optimize: generation flags the trace was
-            captured under; replay candidates must match them.
+        granularity / quantum: generation flags the trace was captured
+            under; replay candidates must match them.
         reference_cycle_ns: reference clock used for ``makespan_cycles``.
         processes: ``{name: ProcessTrace}`` in design registration order.
         makespan_cycles / end_time_ns: the traced run's own results, kept
@@ -105,17 +106,16 @@ class SimTrace:
             the denominators for approximate-tier rescaling.
     """
 
-    __slots__ = ("design_name", "granularity", "quantum", "optimize",
+    __slots__ = ("design_name", "granularity", "quantum",
                  "reference_cycle_ns", "processes", "makespan_cycles",
                  "end_time_ns", "signature", "delay_totals", "grants")
 
-    def __init__(self, design_name, granularity, quantum, optimize,
+    def __init__(self, design_name, granularity, quantum,
                  reference_cycle_ns, processes, makespan_cycles,
                  end_time_ns, signature, delay_totals, grants=None):
         self.design_name = design_name
         self.granularity = granularity
         self.quantum = quantum
-        self.optimize = optimize
         self.reference_cycle_ns = reference_cycle_ns
         self.processes = processes
         self.makespan_cycles = makespan_cycles
@@ -150,7 +150,6 @@ class SimTrace:
             "design_name": self.design_name,
             "granularity": self.granularity,
             "quantum": self.quantum,
-            "optimize": self.optimize,
             "reference_cycle_ns": self.reference_cycle_ns,
             "makespan_cycles": self.makespan_cycles,
             "end_time_ns": self.end_time_ns,
@@ -187,7 +186,6 @@ class SimTrace:
             data["design_name"],
             data["granularity"],
             data["quantum"],
-            data["optimize"],
             data["reference_cycle_ns"],
             processes,
             data["makespan_cycles"],
@@ -205,16 +203,17 @@ class SimTrace:
 
 
 # Version 2 added the per-bus ``grants`` streams (arbitrated captures);
-# v1 entries on disk are *stale*, not corrupt — the store counts them
-# separately and transparently recaptures.
-register_kind(TRACE_KIND, version=2, disk=True,
+# version 3 dropped the code-generator flag.  Older entries on disk are
+# *stale*, not corrupt — the store counts them separately and
+# transparently recaptures.
+register_kind(TRACE_KIND, version=3, disk=True,
               encode=SimTrace.to_dict,
               decode=SimTrace.from_dict)
 
 
 # -- signatures --------------------------------------------------------------
 
-def _signature_doc(design, granularity, quantum, optimize):
+def _signature_doc(design, granularity, quantum):
     """The shared (source/flags/topology) part of both signature tiers."""
     from ..cdfg.irhash import source_fingerprint
 
@@ -222,7 +221,6 @@ def _signature_doc(design, granularity, quantum, optimize):
         "v": _SIG_VERSION,
         "granularity": granularity,
         "quantum": quantum,
-        "optimize": bool(optimize),
         "processes": [
             {
                 "name": decl.name,
@@ -240,8 +238,7 @@ def _signature_doc(design, granularity, quantum, optimize):
     }
 
 
-def replay_signature(design, granularity="transaction", quantum=None,
-                     optimize=True):
+def replay_signature(design, granularity="transaction", quantum=None):
     """Exact-tier trace signature of ``design``.
 
     Two designs with equal signatures produce identical op streams with
@@ -252,7 +249,7 @@ def replay_signature(design, granularity="transaction", quantum=None,
     """
     import json
 
-    doc = _signature_doc(design, granularity, quantum, optimize)
+    doc = _signature_doc(design, granularity, quantum)
     doc["pes"] = {
         name: [pum_fingerprint(pe.pum), pe.pum.icache_size,
                pe.pum.dcache_size]
@@ -261,8 +258,7 @@ def replay_signature(design, granularity="transaction", quantum=None,
     return content_key(json.dumps(doc, sort_keys=True))
 
 
-def approx_signature(design, granularity="transaction", quantum=None,
-                     optimize=True):
+def approx_signature(design, granularity="transaction", quantum=None):
     """Approximate-tier signature: drops the PUMs entirely.
 
     The op *sequence* is PUM-independent (annotation only changes delay
@@ -271,7 +267,7 @@ def approx_signature(design, granularity="transaction", quantum=None,
     """
     import json
 
-    doc = _signature_doc(design, granularity, quantum, optimize)
+    doc = _signature_doc(design, granularity, quantum)
     return content_key(json.dumps(doc, sort_keys=True))
 
 

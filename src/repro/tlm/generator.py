@@ -28,8 +28,8 @@ frontend   ``source_fingerprint(source)``                lowered IR + its
 annotate   ``ir_fp / pum_fp / i<icache> / d<dcache>``    per-function block
                                                          delays + their total
                                                          (``tlm-delays``)
-codegen    annotation key × timed/granularity/optimize/  generated module
-           quantum flags                                 source (``tlm-gensrc``),
+codegen    annotation key × timed/granularity/quantum   generated module
+           flags                                         source (``tlm-gensrc``),
                                                          compiled code object
                                                          (``tlm-code``)
 ========== ============================================= ==================
@@ -61,6 +61,7 @@ intra-design sharing still works when the default store is disabled.
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 from ..artifacts import ArtifactStore, content_key, default_store, register_kind
@@ -75,6 +76,7 @@ from ..cfrontend.datasplit import (
 )
 from ..cfrontend.semantic import parse_and_analyze
 from ..codegen.pygen import (
+    generate_linear_source,
     generate_source,
     program_from_source,
     suspending_functions,
@@ -111,7 +113,9 @@ register_kind(IR_KIND, version=1, disk=False)
 register_kind(CODE_IR_KIND, version=1, disk=False)
 # Version 2 added the stored delay ``total``; v1 entries on disk are stale.
 register_kind(DELAYS_KIND, version=2, disk=True)
-register_kind(GENSRC_KIND, version=1, disk=True)
+# Version 2: structured emission (loops as Python loops, folded scalars,
+# range-checked wraps); v1 entries on disk are stale.
+register_kind(GENSRC_KIND, version=2, disk=True)
 register_kind(CODE_KIND, version=1, disk=False)
 
 
@@ -379,8 +383,26 @@ def _annotate_stage(store, report, ir_program, pum, key, stamp=True):
     ), cached
 
 
+@contextlib.contextmanager
+def linear_emission():
+    """Emit every process in the linear form while the block runs.
+
+    The linear emission (:func:`~repro.codegen.pygen.generate_linear_source`)
+    is the reference the structured one is checked against.  The codegen
+    key does not name the emission, so generate inside the block with a
+    private store (``store=False``).
+    """
+    global generate_source
+    saved = generate_source
+    generate_source = generate_linear_source
+    try:
+        yield
+    finally:
+        generate_source = saved
+
+
 def _codegen_stage(store, report, ir_program, key, timed, granularity,
-                   optimize, module_name):
+                   module_name):
     """Annotated IR → generated source → compiled, executable program.
 
     The *source* is what the disk store holds (portable, diffable); the
@@ -391,9 +413,7 @@ def _codegen_stage(store, report, ir_program, key, timed, granularity,
     start = time.perf_counter()
     cached = store.get(GENSRC_KIND, key)
     if cached is None:
-        source = generate_source(
-            ir_program, timed, granularity=granularity, optimize=optimize,
-        )
+        source = generate_source(ir_program, timed, granularity=granularity)
         suspending = suspending_functions(ir_program, timed, granularity)
         store.put(GENSRC_KIND, key, {
             "source": source, "suspending": sorted(suspending),
@@ -410,15 +430,14 @@ def _codegen_stage(store, report, ir_program, key, timed, granularity,
         store.put(CODE_KIND, code_key, code)
     generated = program_from_source(
         source, ir_program, timed=timed, granularity=granularity,
-        optimize=optimize, suspending=suspending, code=code,
+        suspending=suspending, code=code,
     )
     report._account("codegen", time.perf_counter() - start, hit)
     return generated
 
 
 def generate_tlm(design, timed=True, granularity="transaction",
-                 n_frames=None, report=None, optimize=True, quantum=None,
-                 store=None):
+                 n_frames=None, report=None, quantum=None, store=None):
     """Generate an executable TLM for ``design``.
 
     Args:
@@ -428,8 +447,6 @@ def generate_tlm(design, timed=True, granularity="transaction",
             every block) or ``"quantum"`` (sync every ``quantum`` blocks).
         n_frames: unused hook kept for API symmetry with workload factories.
         report: optional :class:`GenerationReport` to fill with timings.
-        optimize: enable the optimizing code generator; ``False`` emits the
-            original unoptimized source (the equivalence baseline).
         quantum: waits coalesced per kernel event under ``"quantum"``
             granularity (``None`` keeps the runtime default).
         store: artifact store selector — ``None`` (process default),
@@ -439,8 +456,10 @@ def generate_tlm(design, timed=True, granularity="transaction",
     Returns:
         a ready-to-run :class:`~repro.tlm.model.TLModel`.
 
-    ``makespan_cycles`` of the returned model's runs is independent of
-    ``optimize`` and cache warmth; only wall-clock speed changes.
+    Each process's code is emitted in structured form (see
+    :mod:`repro.codegen.pygen`).  ``makespan_cycles`` of the returned
+    model's runs is independent of ``granularity``, ``quantum`` and cache
+    warmth; only wall-clock speed changes.
     """
     design.validate()
     model = TLModel(design, timed, granularity, quantum=quantum)
@@ -448,7 +467,7 @@ def generate_tlm(design, timed=True, granularity="transaction",
         report = GenerationReport(design.name, timed)
     model.report = report
     store = _resolve_store(store)
-    flags = "t%d/g%s/opt%d/q%s" % (timed, granularity, optimize, quantum)
+    flags = "t%d/g%s/q%s" % (timed, granularity, quantum)
 
     for name, decl in design.processes.items():
         ir_program, ir_fp = _frontend_stage(store, report, decl)
@@ -466,7 +485,6 @@ def generate_tlm(design, timed=True, granularity="transaction",
 
         generated = _codegen_stage(
             store, report, ir_program, codegen_key, timed, granularity,
-            optimize,
             module_name="<tlm:%s:%s>" % (design.name, name),
         )
         model.add_generated_process(decl, generated)

@@ -231,8 +231,7 @@ class TrafficProfile:
 
 
 def capture_traffic_profile(design, granularity="transaction",
-                            optimize=True, quantum=None, store=None,
-                            record_grants=False):
+                            quantum=None, store=None, record_grants=False):
     """Record one instance's op streams for :func:`run_traffic`.
 
     By default the recording run uses a copy of ``design`` with dynamic
@@ -252,8 +251,8 @@ def capture_traffic_profile(design, granularity="transaction",
             getattr(bus, "policy", None) is not None
             for bus in design.buses.values()):
         armed = generate_tlm(
-            design, timed=True, granularity=granularity, optimize=optimize,
-            quantum=quantum, store=store,
+            design, timed=True, granularity=granularity, quantum=quantum,
+            store=store,
         )
         try:
             armed.run(record=recorder)
@@ -270,8 +269,8 @@ def capture_traffic_profile(design, granularity="transaction",
             bus.policy = None
             bus.priorities = {}
         model = generate_tlm(
-            plain, timed=True, granularity=granularity, optimize=optimize,
-            quantum=quantum, store=store,
+            plain, timed=True, granularity=granularity, quantum=quantum,
+            store=store,
         )
         model.run(record=recorder)
     process_cycle_ns = {}
@@ -358,9 +357,9 @@ def _instance_target(ops, cycle_ns, share, channel_map, proc_name,
     return target
 
 
-def run_traffic(design, spec, granularity="transaction", optimize=True,
-                quantum=None, faults=None, watchdog=None, store=None,
-                profile=None, replay="off"):
+def run_traffic(design, spec, granularity="transaction", quantum=None,
+                faults=None, watchdog=None, store=None, profile=None,
+                replay="off"):
     """Simulate ``spec.n_instances`` instances of ``design`` under the
     spec's arrival process; returns a :class:`TrafficResult`.
 
@@ -389,17 +388,15 @@ def run_traffic(design, spec, granularity="transaction", optimize=True,
         from .traffic_replay import replay_traffic_sweep
 
         results, stats = replay_traffic_sweep(
-            design, [spec], granularity=granularity,
-            optimize=optimize, quantum=quantum, store=store,
-            profile=profile, validate_n=0,
+            design, [spec], granularity=granularity, quantum=quantum,
+            store=store, profile=profile, validate_n=0,
         )
         result = results[0]
         result.replay_stats = stats
         return result
     if profile is None:
         profile = capture_traffic_profile(
-            design, granularity=granularity, optimize=optimize,
-            quantum=quantum, store=store,
+            design, granularity=granularity, quantum=quantum, store=store,
         )
     reference_cycle_ns = profile.reference_cycle_ns
     kernel = Kernel()

@@ -625,8 +625,8 @@ def _identical(replayed, reference):
 
 
 def replay_traffic_sweep(design, specs, granularity="transaction",
-                         optimize=True, quantum=None, store=None,
-                         profile=None, validate_n=1):
+                         quantum=None, store=None, profile=None,
+                         validate_n=1):
     """Evaluate K traffic points of one design, replaying where exact.
 
     Captures ONE instance's trace (with per-bus grant streams when the
@@ -662,9 +662,8 @@ def replay_traffic_sweep(design, specs, granularity="transaction",
     def simulate(spec):
         stats["simulated"] += 1
         return run_traffic(
-            design, spec, granularity=granularity,
-            optimize=optimize, quantum=quantum, store=store,
-            profile=profile,
+            design, spec, granularity=granularity, quantum=quantum,
+            store=store, profile=profile,
         )
 
     def all_kernel(reason):
@@ -675,8 +674,8 @@ def replay_traffic_sweep(design, specs, granularity="transaction",
 
     if profile is None:
         profile = capture_traffic_profile(
-            design, granularity=granularity, optimize=optimize,
-            quantum=quantum, store=store, record_grants=True,
+            design, granularity=granularity, quantum=quantum, store=store,
+            record_grants=True,
         )
         stats["captured"] = 1
     try:

@@ -162,6 +162,39 @@ class TestScoping:
             analyze("void f(void) { } int f(void) { return 1; }")
 
 
+class TestConstantScopes:
+    """A constant name resolves through the same scopes as any other name:
+    an array size sees only the ``const`` scalars in scope where it is
+    declared."""
+
+    def test_function_local_const_does_not_leak(self):
+        _, info = parse_and_analyze(
+            "const int N = 2; void f(void) { const int N = 5; } int a[N];")
+        assert info.globals["a"].ctype.size == 2
+
+    def test_out_of_scope_const_is_not_a_constant(self):
+        with pytest.raises(SemanticError, match="'N'"):
+            analyze("void f(void) { const int N = 3; } int a[N];")
+
+    def test_non_const_local_shadows_global_const(self):
+        with pytest.raises(SemanticError, match="'N'"):
+            analyze("const int N = 4; "
+                    "int f(void) { int N = 9; float a[N]; return 0; }")
+
+    def test_block_const_ends_with_its_block(self):
+        with pytest.raises(SemanticError, match="'M'"):
+            analyze("int f(void) { { const int M = 3; } int b[M]; "
+                    "return 0; }")
+
+    def test_visible_consts_fold(self):
+        _, info = parse_and_analyze(
+            "const int N = 4; int f(void) { const int K = N * 2; "
+            "{ float a[K]; } return 0; }")
+        sizes = {s.name: s.ctype.size for s in info.functions["f"].locals
+                 if s.name == "a"}
+        assert sizes == {"a": 8}
+
+
 class TestCalls:
     def test_arity_mismatch(self):
         with pytest.raises(SemanticError):

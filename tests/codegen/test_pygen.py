@@ -154,11 +154,12 @@ class TestGeneratedShape:
         source = generate_source(ir, timed=False)
         assert "while True" not in source
 
-    def test_multi_block_uses_dispatch(self):
+    def test_multi_block_uses_structured_control_flow(self):
         ir = compile_cmini("int f(int a) { if (a) return 1; return 2; }")
         source = generate_source(ir, timed=False)
-        assert "while True" in source
-        assert "bb = " in source
+        assert "bb = " not in source
+        assert "while True" not in source
+        assert "if (v_a) != 0:" in source
 
     def test_source_compiles_standalone(self):
         ir = compile_cmini("float f(float x) { return x * 0.5; }")

@@ -95,27 +95,29 @@ class TestArtifactsStats:
         stale-version entries distinctly from corrupt ones."""
         import json
 
-        from repro.artifacts import DISK_FORMAT_VERSION
-        from repro.simtrace import TRACE_KIND  # registers sim-trace (v2)
+        from repro.artifacts import DISK_FORMAT_VERSION, kind_spec
+        from repro.simtrace import TRACE_KIND  # registers sim-trace
 
+        version = kind_spec(TRACE_KIND).version
         kind_dir = tmp_path / TRACE_KIND
         kind_dir.mkdir()
 
-        def envelope(key, kind_version=2):
+        def envelope(key, kind_version=version):
             return json.dumps({
                 "format": DISK_FORMAT_VERSION, "kind": TRACE_KIND,
                 "kind_version": kind_version, "key": key, "value": {},
             })
 
         (kind_dir / "ok.json").write_text(envelope("a"))
-        (kind_dir / "old.json").write_text(envelope("b", kind_version=1))
+        (kind_dir / "old.json").write_text(
+            envelope("b", kind_version=version - 1))
         (kind_dir / "deadbeef.json").write_text("{not json")
 
         code, text = run_cli(["artifacts", "stats",
                               "--dir", str(tmp_path)])
         assert code == 0
         line = next(l for l in text.splitlines() if TRACE_KIND in l)
-        assert "v2" in line
+        assert "v%d" % version in line
         assert "3 entries" in line
         assert "1 stale" in line
         assert "1 corrupt" in line
@@ -593,3 +595,47 @@ class TestPum:
         code, text = run_cli(["pum", str(path)])
         assert code == 0
         assert '"DCT-HW"' in text
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process (a served worker answers
+    every request through it): a sequence of calls, argparse errors
+    included, must print and return what fresh parsers do."""
+
+    @staticmethod
+    def outcomes(argvs, fresh):
+        from repro import cli
+
+        results = []
+        for argv in argvs:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                results.append(run_cli(argv))
+            except SystemExit as exc:
+                results.append(("exit", exc.code))
+        return results
+
+    def test_reused_parser_matches_fresh_parsers(self, source_file, capsys):
+        argvs = [
+            ["run", source_file, "5"],
+            ["run", source_file, "--no-such-flag"],
+            ["run", source_file],  # the entry-argument default
+            ["disasm", source_file, "3"],
+            ["run", source_file, "7", "--entry", "twice"],
+            ["run", source_file],
+        ]
+        reused = self.outcomes(argvs, fresh=False)
+        reused_err = capsys.readouterr().err
+        fresh = self.outcomes(argvs, fresh=True)
+        assert reused == fresh
+        assert reused_err == capsys.readouterr().err
+        assert reused[1] == ("exit", 2)
+        assert reused[2] == reused[5]
+
+    def test_list_defaults_are_immutable(self):
+        from repro import cli
+
+        for command in ("run", "disasm", "profile"):
+            args = cli._parser().parse_args([command, "app.cmini"])
+            assert args.args == ()

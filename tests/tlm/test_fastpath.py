@@ -1,8 +1,9 @@
 """Equivalence tests for the simulation fast path.
 
-The optimizing code generator and the quantum granularity are pure speed
-features: every combination must report the same ``makespan_cycles`` as
-unoptimized code at transaction granularity.
+The structured code generator and the quantum granularity are pure speed
+features: every combination must report the same cycles as the linear
+emission (:func:`repro.codegen.pygen.generate_linear_source`) at
+transaction granularity.
 """
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.apps.mp3 import Mp3Params, build_design
 from repro.cycle import run_pcam
 from repro.tlm import generate_tlm
+from repro.tlm.generator import linear_emission
 
 SMALL = Mp3Params(n_subbands=4, n_slots=4, n_phases=4, n_alias=2)
 
@@ -19,16 +21,35 @@ def small_design(variant="SW+2"):
     return design
 
 
+def linear_tlm(design, **kwargs):
+    """``generate_tlm`` with every process in the linear emission."""
+    with linear_emission():
+        return generate_tlm(design, store=False, **kwargs)
+
+
+def outcome(result):
+    return result.makespan_cycles, {
+        name: (p.cycles, p.transactions, p.return_value)
+        for name, p in result.processes.items()
+    }
+
+
 def makespan(design, **kwargs):
     return generate_tlm(design, timed=True, **kwargs).run().makespan_cycles
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("variant", ["SW", "SW+2"])
-    def test_engines_and_optimizer_bit_identical(self, variant):
+    @pytest.mark.parametrize("variant", ["SW", "SW+1", "SW+2", "SW+4"])
+    def test_structured_matches_linear_emission(self, variant):
         design = small_design(variant)
-        baseline = makespan(design, optimize=False)
-        assert makespan(design, optimize=True) == baseline
+        for granularity in ("transaction", "block", "quantum"):
+            structured = generate_tlm(
+                design, timed=True, granularity=granularity, quantum=3,
+            ).run()
+            linear = linear_tlm(
+                design, timed=True, granularity=granularity, quantum=3,
+            ).run()
+            assert outcome(structured) == outcome(linear)
 
     def test_granularities_bit_identical(self):
         design = small_design()
@@ -40,8 +61,8 @@ class TestEngineEquivalence:
 
     def test_functional_results_identical_across_engines(self):
         design = small_design()
-        a = generate_tlm(design, timed=False, optimize=True).run()
-        b = generate_tlm(design, timed=False, optimize=False).run()
+        a = generate_tlm(design, timed=False).run()
+        b = linear_tlm(design, timed=False).run()
         assert (a.process("decoder").return_value
                 == b.process("decoder").return_value)
 
@@ -49,6 +70,11 @@ class TestEngineEquivalence:
         # There is one process model; no engine can be selected.
         with pytest.raises(TypeError):
             generate_tlm(small_design(), timed=True, engine="thread")
+
+    def test_optimize_option_removed(self):
+        # There is one code generator; it cannot be switched off.
+        with pytest.raises(TypeError):
+            generate_tlm(small_design(), timed=True, optimize=False)
 
 
 class TestKernelStatsSurface:

@@ -147,10 +147,20 @@ class TestCLITlm:
             return out.getvalue().splitlines()[0]
 
         fast = makespan_line(["simulate", str(path)])
-        slow = makespan_line(["simulate", str(path), "--no-optimize"])
+        block = makespan_line(["simulate", str(path), "--granularity",
+                               "block"])
         quantum = makespan_line(["simulate", str(path), "--granularity",
                                  "quantum", "--quantum", "4"])
         assert "makespan" in fast
         # identical makespans; only the wall-clock suffix may differ
-        assert fast.split("cycles")[0] == slow.split("cycles")[0]
+        assert fast.split("cycles")[0] == block.split("cycles")[0]
         assert fast.split("cycles")[0] == quantum.split("cycles")[0]
+
+    def test_cli_no_optimize_option_removed(self, tmp_path, capsys):
+        # One code generator: ``--no-optimize`` is an unknown option.
+        path = tmp_path / "design.json"
+        save_design(demo_design(), str(path))
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", str(path), "--no-optimize"])
+        assert info.value.code == 2
+        assert "--no-optimize" in capsys.readouterr().err
