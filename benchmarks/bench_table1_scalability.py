@@ -19,6 +19,7 @@ import pytest
 
 from repro.apps.mp3 import VARIANTS
 from repro.cycle import run_pcam
+from repro.estimation.schedcache import default_cache
 from repro.isa import compile_program
 from repro.iss import ISS
 from repro.reporting import Table, fmt_seconds
@@ -44,14 +45,24 @@ def _min_seconds(benchmark, fallback):
         return fallback
 
 
+def _forget_schedules():
+    """Drop every memoised block schedule, so a round annotates cold."""
+    cache = default_cache()
+    if cache is not None:
+        cache.clear()
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_annotation_time(benchmark, variant, eval_design_factory):
+    """A cold generation: no artifact store and no schedule memo, so every
+    round parses, annotates and generates each process."""
     design = eval_design_factory(variant, 8192, 4096)
 
     def annotate():
-        return generate_tlm(design, timed=True)
+        return generate_tlm(design, timed=True, store=False)
 
-    model = benchmark.pedantic(annotate, rounds=3, iterations=1)
+    model = benchmark.pedantic(annotate, setup=_forget_schedules, rounds=3,
+                               iterations=1)
     _row(variant)["anno"] = _min_seconds(benchmark, model.report.total_seconds)
     assert model.report.annotation_seconds > 0
 

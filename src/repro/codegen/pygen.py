@@ -9,6 +9,24 @@ relative to this repo's interpreted baselines (the IR interpreter and the
 R32 ISS) in exactly the way the paper's compiled TLM is native relative to
 an interpreting ISS.
 
+There are three emissions of one program, chosen by the ``timed`` argument:
+
+* **functional** (``False``) — the computation and its communication only;
+* **timed** (``True``) — charges every block's annotated delay;
+* **counting** (:data:`COUNT`) — counts every block's executions, zero-delay
+  blocks included, where the timed emission charges delays: the delay
+  algebra below runs on block multisets instead of cycle counts, and each
+  place the timed code adds to ``_d`` adds to one count of ``ctx.counts``
+  instead, a *site* whose block multiset is a constant of the module
+  (``_SITES``; :meth:`GeneratedProgram.block_counts` expands them).  It
+  reads no delay, so one module serves every PUM, and it suspends only at
+  ``comm``, like the functional code.  A block is counted as it starts
+  and ``ctx.counts`` is a dict, whose keys keep the order in which sites
+  first counted: a function's first count precedes its callees', so
+  functions come out in the order of their first call, as they do from
+  the reference interpreter.  The static estimator profiles applications
+  with it (:mod:`repro.estimation.staticest`).
+
 Each function is emitted in *structured* form, doing the work the paper's
 host compiler does for it:
 
@@ -42,7 +60,8 @@ host compiler does for it:
   at generation time, and a counted loop whose body is one path with no
   call and no ``comm`` charges ``header·(trips+1) + (body+step)·trips``
   once.  Block and quantum granularity keep one ``ctx.wait`` per executed
-  block with a nonzero delay, in execution order.
+  block with a nonzero delay, in execution order.  The counting emission
+  sums block multisets the same way, at every granularity.
 
 A function whose structured form would nest more loops or indentation
 levels than CPython compiles falls back to the *linear* form: a ``while``
@@ -65,6 +84,9 @@ import math
 from ..cdfg.cnum import INT_MAX, INT_MIN, c_div, c_rem
 from ..cdfg.ir import global_storage
 from ..cfrontend.ctypes_ import FLOAT, INT, is_array
+
+#: The ``timed`` argument that selects the counting emission.
+COUNT = "count"
 
 _WRAP = "(((%s) + 2147483648) & 4294967295) - 2147483648"
 
@@ -128,15 +150,32 @@ class GeneratedProgram:
         """A fresh global-variable store for one process instance."""
         return global_storage(self.ir_program)
 
+    def block_counts(self, counts):
+        """``{function: {label: executions}}`` of a run of the counting
+        emission whose context ended with ``counts`` (``{site: n}``);
+        blocks that never ran are left out, as the reference interpreter
+        leaves them out."""
+        sites = self.namespace["_SITES"]  # (function, ((label, n), ...))
+        per_func = {}
+        for site, n in counts.items():
+            if n:
+                func, blocks = sites[site]
+                per_block = per_func.setdefault(func, {})
+                for label, k in blocks:
+                    per_block[label] = per_block.get(label, 0) + k * n
+        return per_func
+
 
 def generate_source(ir_program, timed=True, granularity="transaction"):
     """Emit Python source for every function of ``ir_program``.
 
-    When ``timed`` is true every basic block must carry an annotated delay
-    (run the annotator first); blocks with delay 0 charge nothing.
-    ``granularity`` only affects how waits are emitted (``"block"`` and
-    ``"quantum"`` sync inside the process, so suspension is emitted at each
-    wait site); the cycle accounting is identical for every setting.
+    ``timed`` picks the emission: ``False`` (functional), ``True`` (timed)
+    or :data:`COUNT` (counting; see the module docstring).  When timed,
+    every basic block must carry an annotated delay (run the annotator
+    first); blocks with delay 0 charge nothing.  ``granularity`` only
+    affects how timed code emits waits (``"block"`` and ``"quantum"`` sync
+    inside the process, so suspension is emitted at each wait site); the
+    cycle accounting is identical for every setting.
     """
     return _program_source(ir_program, timed, granularity, structured=True)
 
@@ -151,7 +190,9 @@ def _program_source(ir_program, timed, granularity, structured):
     cfg = _EmitConfig(ir_program, timed, granularity)
     writer = _Writer()
     writer.line("# Generated by repro.codegen.pygen — do not edit.")
-    writer.line("from repro.codegen.runtime import c_div, c_rem, c_f2i")
+    # ``inf`` and ``nan`` are how ``repr`` writes non-finite float literals.
+    writer.line("from repro.codegen.runtime import c_div, c_rem, c_f2i, "
+                "inf, nan")
     writer.line("")
     for name in ir_program.functions:
         func = ir_program.function(name)
@@ -168,6 +209,11 @@ def _program_source(ir_program, timed, granularity, structured):
             writer.splice(body)
         writer.pop()
         writer.line("")
+    if cfg.mode == COUNT:
+        writer.line("_SITES = (")
+        for func_name, blocks in cfg.sites:
+            writer.line("    (%r, %r)," % (func_name, blocks))
+        writer.line(")")
     return writer.text()
 
 
@@ -241,12 +287,12 @@ class _Writer:
 def suspending_functions(ir_program, timed=False, granularity="transaction"):
     """Functions that can reach a kernel suspension point.
 
-    A function suspends directly when it contains a ``comm`` op, or — under
-    per-block/quantum sync — when any of its blocks carries a nonzero
+    A function suspends directly when it contains a ``comm`` op, or — timed
+    under per-block/quantum sync — when any of its blocks carries a nonzero
     delay.  Suspension propagates to callers through the call graph.  With
     the defaults this is the set of functions that can reach a ``comm`` op.
     """
-    per_block_sync = timed and granularity in ("block", "quantum")
+    per_block_sync = _per_block_sync(_emission(timed), granularity)
     suspends = set()
     callees_of = {}
     for name in ir_program.functions:
@@ -274,14 +320,47 @@ def suspending_functions(ir_program, timed=False, granularity="transaction"):
     return frozenset(suspends)
 
 
+def _emission(timed):
+    """The emission a ``timed`` argument names: ``"functional"``,
+    ``"timed"`` or :data:`COUNT`."""
+    if timed == COUNT:
+        return COUNT
+    return "timed" if timed else "functional"
+
+
+def _per_block_sync(mode, granularity):
+    return mode == "timed" and granularity in ("block", "quantum")
+
+
+class _Blocks(dict):
+    """A block multiset ``{label: n}``: the counting emission's delay,
+    added and scaled as the timed emission adds and scales cycles."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        total = _Blocks(self)
+        for label, n in other.items():
+            total[label] = total.get(label, 0) + n
+        return total
+
+    def __mul__(self, n):
+        return _Blocks({label: k * n for label, k in self.items()} if n
+                       else ())
+
+
 class _EmitConfig:
     """Program-wide emission settings shared by every function."""
 
     def __init__(self, ir_program, timed, granularity):
-        self.timed = timed
+        #: ``"functional"``, ``"timed"`` or :data:`COUNT`
+        self.mode = _emission(timed)
         self.granularity = granularity
-        self.per_block_sync = timed and granularity in ("block", "quantum")
+        self.per_block_sync = _per_block_sync(self.mode, granularity)
         self.suspending = suspending_functions(ir_program, timed, granularity)
+        #: counting sites, ``(function, block multiset) -> index``, in
+        #: emission order
+        self.sites = {}
         stored = set()
         for name in ir_program.functions:
             for block in ir_program.function(name).blocks:
@@ -297,6 +376,11 @@ class _EmitConfig:
                     and (_is_int(value) or (isinstance(value, float)
                                             and math.isfinite(value)))):
                 self.folded[name] = value
+
+    def site(self, func_name, blocks):
+        """Index of the counting site that adds the multiset ``blocks``."""
+        key = (func_name, tuple(sorted(blocks.items())))
+        return self.sites.setdefault(key, len(self.sites))
 
 
 # -- interval facts -----------------------------------------------------------
@@ -478,8 +562,9 @@ class _FuncEmit:
         self.func = func
         self.cfg = cfg
         self.blocks = {b.label: b for b in func.blocks}
-        self.use_acc = (
-            cfg.timed and not cfg.per_block_sync
+        self.counting = cfg.mode == COUNT
+        self.use_acc = self.counting or (
+            cfg.mode == "timed" and not cfg.per_block_sync
             and any(b.delay for b in func.blocks)
         )
         self.temp_uses = {}
@@ -489,8 +574,15 @@ class _FuncEmit:
                     self.temp_uses[t] = self.temp_uses.get(t, 0) + 1
         self.pending = {}
         self.const_val = {}
-        self.acc = 0
+        self.acc = _Blocks() if self.counting else 0
         self.quiet = False
+
+    def _cost(self, block):
+        """What one execution of ``block`` charges: its delay, the block
+        itself when counting, nothing in functional code."""
+        if self.counting:
+            return _Blocks({block.label: 1})
+        return block.delay if self.cfg.mode == "timed" else 0
 
     # -- analysis -------------------------------------------------------------
 
@@ -526,7 +618,7 @@ class _FuncEmit:
                 stack.pop()
                 post.append(label)
         order = post[::-1]
-        if self.cfg.timed:
+        if self.cfg.mode == "timed":
             for label in order:
                 if blocks[label].delay is None:
                     raise CodegenError(
@@ -925,7 +1017,7 @@ class _FuncEmit:
         """Closed-form delay of a counted loop whose body is one path with
         no call and no ``comm`` (nested closed-form loops included)."""
         blocks = self.blocks
-        cost = blocks[loop.header].delay + blocks[loop.latch].delay
+        cost = self._cost(blocks[loop.header]) + self._cost(blocks[loop.latch])
         label = loop.entry
         while label != loop.latch:
             if label not in loop.body:
@@ -934,20 +1026,21 @@ class _FuncEmit:
             if inner is not None:
                 if not inner.closed:
                     return
-                cost += inner.total or 0
+                if inner.total:  # else it charges itself
+                    cost += inner.total
                 label = inner.exit
                 continue
             block = blocks[label]
             if block.terminator.opcode != "jmp" or any(
                     op.opcode in ("call", "comm") for op in block.body):
                 return
-            cost += block.delay
+            cost += self._cost(block)
             label = block.terminator.attrs["label"]
         loop.closed = True
         loop.cost = cost
         trips = self._trips(loop)
         if trips is not None:
-            loop.total = blocks[loop.header].delay + cost * trips
+            loop.total = self._cost(blocks[loop.header]) + cost * trips
 
     # -- structured emission ----------------------------------------------------
 
@@ -1108,7 +1201,11 @@ class _FuncEmit:
             iterable = name
             exit_value = "%s.start + len(%s) * %d" % (name, name, step)
         if loop.closed:
-            if dynamic:
+            if dynamic and self.counting:
+                self.acc += self._cost(header)
+                w.line("_n[%d] += len(%s)" % (
+                    self.cfg.site(self.func.name, loop.cost), iterable))
+            elif dynamic:
                 w.line("_d += %d + %d * len(%s)" % (
                     header.delay, loop.cost, iterable))
             elif not self.quiet:
@@ -1140,18 +1237,24 @@ class _FuncEmit:
     # -- block bodies ------------------------------------------------------------
 
     def charge(self, w, block):
-        """Charge one execution of ``block``'s delay."""
-        if not self.cfg.timed or not block.delay or self.quiet:
+        """Charge one execution of ``block``'s delay (count it, counting)."""
+        cost = self._cost(block)
+        if not cost or self.quiet:
             return
         if self.use_acc:
-            self.acc += block.delay
+            self.acc += cost
         else:
-            w.line("if ctx.wait(%d):" % block.delay)
+            w.line("if ctx.wait(%d):" % cost)
             w.line("    yield from ctx.sync_gen()")
 
     def settle(self, w):
         """Write the delay summed since the last control statement."""
-        if self.acc:
+        if not self.acc:
+            return
+        if self.counting:
+            w.line("_n[%d] += 1" % self.cfg.site(self.func.name, self.acc))
+            self.acc = _Blocks()
+        else:
             w.line("_d += %d" % self.acc)
             self.acc = 0
 
@@ -1178,6 +1281,8 @@ class _FuncEmit:
                     w.line("v_%s = [%s] * %d" % (name, zero, ctype.size))
             else:
                 w.line("v_%s = %s" % (name, "0.0" if ctype == FLOAT else "0"))
+        if self.counting:
+            w.line("_n = ctx.counts")
         if not structured:
             return
         arrays = set()
@@ -1191,16 +1296,19 @@ class _FuncEmit:
                                   if spec[0] != "temp" and spec[2] == "global")
         for var in sorted(arrays):
             w.line('g_%s = glob["%s"]' % (var, var))
-        if self.use_acc:
+        if self.use_acc and not self.counting:
             w.line("_d = 0")
 
     def emit_block_ops(self, w, block):
         # The analysis intervals bound every value the emitter can give a
         # temp, fused or materialised: they decide each wrap.
         self.vals = self._eval_block(block, self.env)
+        if self.counting:
+            self.charge(w, block)  # as it starts: see the module docstring
         for op in block.body:
             self.emit_op(w, op)
-        self.charge(w, block)
+        if not self.counting:
+            self.charge(w, block)
         term = block.terminator
         self.drain(w, set(term.args))
 
@@ -1271,7 +1379,9 @@ class _FuncEmit:
 
     def _flush_delay(self, w):
         """Apply the accumulated delay before a timing-observable point."""
-        if self.acc:
+        if self.counting:
+            self.settle(w)
+        elif self.acc:
             w.line("ctx.wait(_d + %d); _d = 0" % self.acc)
             self.acc = 0
         elif self.use_acc:
@@ -1283,7 +1393,9 @@ class _FuncEmit:
         else:
             val = "None"
         self._flush_all(w)
-        if self.acc:
+        if self.counting:
+            self.settle(w)
+        elif self.acc:
             w.line("ctx.wait(_d + %d)" % self.acc)
             self.acc = 0
         elif self.use_acc:
@@ -1444,10 +1556,13 @@ class _FuncEmit:
     def emit_seed_block(self, w, block, dispatch=True):
         """One block in linear form: a statement per op, its wait, and a
         jump through the block index."""
+        if self.counting:  # as it starts: see the module docstring
+            w.line("_n[%d] += 1" % self.cfg.site(
+                self.func.name, self._cost(block)))
         for op in block.body:
             for line in self._seed_op_lines(op):
                 w.line(line)
-        if self.cfg.timed:
+        if self.cfg.mode == "timed":
             if block.delay is None:
                 raise CodegenError(
                     "block %s of %s has no annotated delay (timed codegen "

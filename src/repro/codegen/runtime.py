@@ -30,6 +30,9 @@ cycle count for a single-PE program without spinning up a TLM.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from math import inf, nan
+
 from ..cdfg import cnum
 from ..simkernel.kernel import OP_WAIT
 
@@ -39,7 +42,8 @@ GRANULARITIES = ("transaction", "block", "quantum")
 #: ``"quantum"`` granularity.
 DEFAULT_QUANTUM = 64
 
-# Re-exported names the generated code refers to.
+# Re-exported names the generated code refers to, with ``inf`` and ``nan``
+# (imported from :mod:`math` above): ``repr`` writes non-finite floats so.
 c_div = cnum.c_div
 c_rem = cnum.c_rem
 c_f2i = cnum.c_float_to_int
@@ -169,3 +173,26 @@ class RecordingContext(ProcessContext):
         if self.pending_cycles and self.sim_process is not None:
             self.recorder.record(self.name, OP_WAIT, self.pending_cycles, 0)
         return (yield from super().sync_gen())
+
+
+class CountingContext:
+    """The context of a counting program (the counting emission of
+    :mod:`repro.codegen.pygen`): ``counts`` maps each site of the program
+    that ran to its execution count, in the order sites first ran, and
+    communication suspends with the reference interpreter's requests,
+    ``("send", chan, values)`` and ``("recv", chan, count)`` — whoever
+    drives the program implements the channels, as for
+    :meth:`repro.cdfg.interp.Interpreter.call_gen`."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self):
+        self.counts = defaultdict(int)
+
+    @staticmethod
+    def send_gen(chan, values):
+        yield ("send", chan, values)
+
+    @staticmethod
+    def recv_gen(chan, count):
+        return (yield ("recv", chan, count))

@@ -24,12 +24,18 @@ It is an estimator, not a simulator — bus contention between concurrent
 masters and genuine computation overlap are not modelled, which is why the
 search pipeline always re-evaluates survivors with the timed TLM.
 
-The application profile is captured by co-interpreting every process on
-the reference interpreter over FIFO channels — each process is an
-interpreter generator, run on one thread from a deterministic ready queue,
-with no simulation kernel involved — and is cached in the artifact store
-under the ``app-profile`` kind, keyed by the processes' source
-fingerprints — a sweep profiles each distinct application once.
+The application profile is captured the way arXiv 1508.06830 profiles a
+task, by one instrumented native execution: every process runs the
+*counting* emission of its generated code, which counts block executions
+where the timed code charges delays (its counts times the delays are the
+timed TLM's cycles by construction), over FIFO channels — each process a
+generator, run on one thread from a deterministic ready queue, with no
+simulation kernel involved.  Counting modules depend on code alone, so a
+sweep compiles one per process code and a freshly seeded application only
+binds its data.  A failing application is profiled again on the reference
+IR interpreter, which names the failure.  The profile is cached in the
+artifact store under the ``app-profile`` kind, keyed by the processes'
+source fingerprints — a sweep profiles each distinct application once.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ from collections import deque
 
 from ..artifacts import content_key, register_kind
 from ..cdfg.interp import Interpreter
+from ..codegen.pygen import COUNT
+from ..codegen.runtime import CountingContext
 from ..errors import InputError
 
 #: Artifact kind for captured application profiles.
@@ -180,20 +188,32 @@ def _frontend_ir(design, store):
 def profile_design(design, store=None):
     """Profile ``design``'s application once; returns an :class:`AppProfile`.
 
-    Every process runs as a reference :class:`Interpreter` generator that
-    suspends at its ``comm`` ops.  One loop serves them from a FIFO ready
-    queue in design order: a ``send`` appends to the channel's word queue
-    and wakes a receiver it satisfies; a ``recv`` with too few words queued
-    blocks the process.  The co-interpretation follows the same data
-    dependencies as the TLM without any simulation kernel, so block counts
-    and channel traffic depend only on the application data flow.
+    Every process runs its *counting program* — the counting emission of
+    its generated code (:mod:`repro.codegen.pygen`), which counts block
+    executions where the timed TLM charges delays and suspends at its
+    ``comm`` ops with the reference interpreter's requests.  The module
+    depends on the process's code only, so the generator's codegen stage
+    caches one per code text (key ``<ir fingerprint>/count``) and a new
+    application with the same code only binds its data.  One loop serves
+    the processes from a FIFO ready queue in design order: a ``send``
+    appends to the channel's word queue and wakes a receiver it satisfies;
+    a ``recv`` with too few words queued blocks the process.  The
+    co-execution follows the same data dependencies as the TLM without any
+    simulation kernel, so block counts and channel traffic depend only on
+    the application data flow.
 
     The result is cached in the artifact store (``app-profile`` kind);
     sweeps profile each distinct application exactly once.
 
     Raises :class:`StaticEstimateError` naming the process as soon as one
     fails, or naming the blocked processes as soon as none can run (a
-    process awaiting data nobody sends).
+    process awaiting data nobody sends).  When the counting programs fail,
+    the application is profiled again on the reference :class:`Interpreter`
+    generators, whose result or error is the answer: the diagnostic names
+    what the reference semantics reject.  The generated code, like the TLM
+    it is, runs a few programs the interpreter rejects — a negative array
+    index counts from the array's end, an out-of-range ``comm`` count
+    slices — and their profile is then the TLM's.
     """
     from ..tlm.generator import _resolve_store
 
@@ -204,13 +224,74 @@ def profile_design(design, store=None):
         return cached
 
     irs, store = _frontend_ir(design, store)
+    try:
+        counts, logs = _counting_run(design, irs, store)
+    except StaticEstimateError:
+        # A failing process or a starved one: the reference semantics
+        # decide what to report.
+        counts, logs = _interpreted_run(design, irs)
+    profile = AppProfile(
+        key,
+        counts,
+        {name: _aggregate(logs[name], "send") for name in design.processes},
+        {name: _aggregate(logs[name], "recv") for name in design.processes},
+    )
+    store.put(PROFILE_KIND, key, profile)
+    return profile
+
+
+def _counting_run(design, irs, store):
+    """``(counts, logs)`` of the processes' counting programs."""
+    from ..tlm.generator import GenerationReport, _codegen_stage
+
+    report = GenerationReport(design.name, True)
+    programs = {}
+    runs = {}
+    for name, decl in design.processes.items():
+        ir_program, ir_fp = irs[name]
+        generated = _codegen_stage(
+            store, report, ir_program, ir_fp + "/count", COUNT,
+            "transaction", module_name="<count:%s:%s>" % (design.name, name),
+        )
+        ctx = CountingContext()
+        programs[name] = _process(
+            generated.entry(decl.entry), generated.is_suspending(decl.entry),
+            (ctx, generated.fresh_globals()) + tuple(decl.args),
+        )
+        runs[name] = (generated, ctx)
+    logs = _co_run(design, programs)
+    return {
+        name: generated.block_counts(ctx.counts)
+        for name, (generated, ctx) in runs.items()
+    }, logs
+
+
+def _process(entry, suspends, args):
+    """A generator running one process's generated ``entry`` with ``args``,
+    as the TLM's process target does; it starts when first resumed."""
+    if suspends:
+        return (yield from entry(*args))
+    return entry(*args)
+
+
+def _interpreted_run(design, irs):
+    """``(counts, logs)`` of the processes on reference interpreters."""
     interps = {}
     programs = {}
-    logs = {}
     for name, decl in design.processes.items():
         interp = interps[name] = Interpreter(irs[name][0])
         programs[name] = interp.call_gen(decl.entry, *decl.args)
-        logs[name] = []  # (kind, chan, words)
+    logs = _co_run(design, programs)
+    return {
+        name: _counts_by_function(interps[name].block_counts)
+        for name in design.processes
+    }, logs
+
+
+def _co_run(design, programs):
+    """Serve the process generators ``programs`` from one FIFO ready queue
+    until all finish; returns each process's ``(kind, chan, words)`` log."""
+    logs = {name: [] for name in design.processes}
     queues = {}  # chan -> deque of words
     blocked = {}  # name -> (chan, count) while waiting in a recv
     ready = deque((name, None) for name in design.processes)
@@ -254,18 +335,7 @@ def profile_design(design, store=None):
                 for name, (chan, count) in blocked.items()
             )
         )
-
-    profile = AppProfile(
-        key,
-        {
-            name: _counts_by_function(interps[name].block_counts)
-            for name in design.processes
-        },
-        {name: _aggregate(logs[name], "send") for name in design.processes},
-        {name: _aggregate(logs[name], "recv") for name in design.processes},
-    )
-    store.put(PROFILE_KIND, key, profile)
-    return profile
+    return logs
 
 
 def _counts_by_function(block_counts):

@@ -204,10 +204,12 @@ class SearchSpace:
         of first appearance — the partition :meth:`delay_group_key`
         induces, computed by mixed-radix arithmetic: a point's group is its
         index with every non-design coordinate zeroed."""
-        keys = [0] * len(indices)
+        import numpy
+
+        index = numpy.asarray(indices, dtype=numpy.int64)
+        keys = numpy.zeros(len(index), dtype=numpy.int64)
         for stride, size in self._design_radix:
-            keys = [key + (index // stride) % size * stride
-                    for key, index in zip(keys, indices)]
+            keys += index // stride % size * stride
         return _group_positions(keys)
 
     def freq_axis_of(self, pe_name):
@@ -219,10 +221,25 @@ class SearchSpace:
 
     def axis_values(self, axis, indices):
         """The ``axis`` value of each index in ``indices`` (a list)."""
+        values, coords = self._axis_coords(axis, indices)
+        return [values[c] for c in coords.tolist()]
+
+    def _axis_array(self, axis, indices, dtype):
+        """:meth:`axis_values` as a numpy array of ``dtype``."""
+        import numpy
+
+        values, coords = self._axis_coords(axis, indices)
+        return numpy.asarray(values, dtype=dtype)[coords]
+
+    def _axis_coords(self, axis, indices):
+        """``axis``'s values and the coordinate (an index into them) of
+        each index in ``indices``, as a numpy array."""
+        import numpy
+
         for pos, (name, values) in enumerate(self.axes):
             if name == axis:
-                stride, size = self._strides[pos], self._sizes[pos]
-                return [values[(i // stride) % size] for i in indices]
+                return values, (numpy.asarray(indices, dtype=numpy.int64)
+                                // self._strides[pos] % self._sizes[pos])
         raise SearchError("unknown axis %r" % axis)
 
     def neighbors(self, index):
@@ -274,14 +291,19 @@ def _fmt_value(value):
 
 def _group_positions(keys):
     """Positions of equal ``keys``, grouped in order of first appearance."""
-    groups = {}
-    for pos, key in enumerate(keys):
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [pos]
-        else:
-            group.append(pos)
-    return list(groups.values())
+    import numpy
+
+    keys = numpy.asarray(keys, dtype=numpy.int64)
+    if not len(keys):
+        return []
+    _, first, group = numpy.unique(keys, return_index=True,
+                                   return_inverse=True)
+    rank = numpy.empty(len(first), dtype=numpy.int64)
+    rank[numpy.argsort(first)] = numpy.arange(len(first))
+    group = rank[group]  # numbered in order of first appearance
+    order = numpy.argsort(group, kind="stable")
+    bounds = numpy.cumsum(numpy.bincount(group))[:-1]
+    return [part.tolist() for part in numpy.split(order, bounds)]
 
 
 class _PointListSpace:
@@ -401,44 +423,40 @@ def static_scores(space, indices, store=None):
     import numpy
 
     store = store or default_store()
-    scores = [0.0] * len(indices)
+    index = numpy.asarray(indices, dtype=numpy.int64)
+    scores = numpy.zeros(len(index))
     groups = space.delay_groups(indices)
     for positions in groups:
-        sub = [indices[p] for p in positions]
+        positions = numpy.asarray(positions)
+        sub = index[positions]
         base_ns, freq_cycles, bus_hist, buses = _group_model(
-            space, sub[0], store,
+            space, int(sub[0]), store,
         )
         est = numpy.full(len(sub), base_ns, dtype=float)
         for axis, cycles in freq_cycles.items():
-            mhz = numpy.asarray(space.axis_values(axis, sub), dtype=float)
+            mhz = space._axis_array(axis, sub, float)
             est += cycles * (1000.0 / mhz)
         for bus_name, hist in bus_hist.items():
             bus = buses[bus_name]
             if space.bus_width_axis is not None:
-                width = numpy.asarray(
-                    space.axis_values(space.bus_width_axis, sub),
-                    dtype=numpy.int64,
-                )
+                width = space._axis_array(space.bus_width_axis, sub,
+                                          numpy.int64)
             else:
                 width = numpy.int64(bus.words_per_cycle)
             if space.bus_arb_axis is not None:
-                arb = numpy.asarray(
-                    space.axis_values(space.bus_arb_axis, sub),
-                    dtype=numpy.int64,
-                )
+                arb = space._axis_array(space.bus_arb_axis, sub, numpy.int64)
             else:
                 arb = numpy.int64(bus.arbitration_cycles)
             cycles = arb * sum(hist.values())
             for words, times in hist.items():
                 cycles = cycles + times * ((words + width - 1) // width)
             est += bus.cycle_ns * cycles
-        for p, value in zip(positions, est):
-            scores[p] = float(value) / REFERENCE_CYCLE_NS
+        scores[positions] = est / REFERENCE_CYCLE_NS
     counters = {
         "scored": len(indices),
         "delay_groups": len(groups),
     }
-    return scores, counters
+    return scores.tolist(), counters
 
 
 # -- the report --------------------------------------------------------------
@@ -599,6 +617,16 @@ def _cut_size(entered, keep_top, rung_fraction):
     return min(entered, max(keep_top, math.ceil(entered * rung_fraction)))
 
 
+def _lowest(indices, values, keep):
+    """The ``keep`` indices of lowest value (ties to the lower index), in
+    index order."""
+    import numpy
+
+    order = numpy.lexsort((indices, values))  # by value, then index
+    return sorted(numpy.asarray(indices, dtype=numpy.int64)[order[:keep]]
+                  .tolist())
+
+
 def parse_shard(text):
     """``"i/N"`` -> ``(i, N)`` with validation (the CLI's ``--shard``)."""
     try:
@@ -675,16 +703,17 @@ def search(space, granularity="transaction", stages="012", keep_top=16,
             else ExplorationCheckpoint(checkpoint, granularity)
         )
 
+    refine = "2" in chosen and budget > 0
     scores = {}
     survivors = indices
     if "0" in chosen and len(indices) > _cut_size(
             len(indices), keep_top, rung_fraction):
         with report.stage("static", len(indices), store) as stats:
             values, counters = static_scores(space, indices, store=store)
-            scores = dict(zip(indices, values))
-            keep = _cut_size(len(indices), keep_top, rung_fraction)
-            order = sorted(indices, key=lambda i: (scores[i], i))
-            survivors = sorted(order[:keep])
+            survivors = _lowest(indices, values, _cut_size(
+                len(indices), keep_top, rung_fraction))
+            if refine:
+                scores = dict(zip(indices, values))
             stats.kept = len(survivors)
             stats.counters.update(counters)
 
@@ -723,7 +752,7 @@ def search(space, granularity="transaction", stages="012", keep_top=16,
         )
         stats.counters["failed"] = len(exact.failures)
 
-    if "2" in chosen and budget > 0:
+    if refine:
         allowed = set(indices)
         with report.stage("refine", 0, store) as stats:
             remaining = budget

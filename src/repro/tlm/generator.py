@@ -32,6 +32,8 @@ codegen    annotation key × timed/granularity/quantum   generated module
            flags                                         source (``tlm-gensrc``),
                                                          compiled code object
                                                          (``tlm-code``)
+           counting: ``ir_fp / count``                   the counting module
+                                                         (same kinds)
 ========== ============================================= ==================
 
 A design-space sweep varies the PUM (cache sizes, datapath widths …) while
@@ -52,6 +54,12 @@ new code text is parsed and lowered.  The IR fingerprint covers code
 alone (global names and types, not values), so annotation and codegen
 hit too: the paper annotates and compiles each process once and then
 runs it on inputs.
+
+The static estimator's counting modules (the counting emission of
+:mod:`repro.codegen.pygen`, see
+:func:`repro.estimation.staticest.profile_design`) read no delay, so their
+codegen key is the IR fingerprint alone: one module per process code
+serves every cache size, bus width and clock of a sweep.
 
 ``generate_tlm(..., store=False)`` opts a single call out; ``store=None``
 (default) uses the process-wide default store (``REPRO_ARTIFACTS`` /
@@ -114,8 +122,9 @@ register_kind(CODE_IR_KIND, version=1, disk=False)
 # Version 2 added the stored delay ``total``; v1 entries on disk are stale.
 register_kind(DELAYS_KIND, version=2, disk=True)
 # Version 2: structured emission (loops as Python loops, folded scalars,
-# range-checked wraps); v1 entries on disk are stale.
-register_kind(GENSRC_KIND, version=2, disk=True)
+# range-checked wraps).  Version 3: modules import ``inf`` and ``nan``, which
+# non-finite float literals need; older entries on disk are stale.
+register_kind(GENSRC_KIND, version=3, disk=True)
 register_kind(CODE_KIND, version=1, disk=False)
 
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.api import annotate_program, compile_cmini
+from repro.cdfg.interp import Interpreter
 from repro.codegen import CodegenError, ProcessContext, generate_program, generate_source
+from repro.codegen.pygen import generate_linear_source, program_from_source
 from repro.pum import microblaze
 
 
@@ -98,6 +100,25 @@ class TestFunctionalCorrectness:
     def test_division_by_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             call("int main(void) { int z = 0; return 5 / z; }")
+
+    @pytest.mark.parametrize("source", [
+        "float main(void) { float x = 1e400; return x; }",
+        "float main(void) { float x = -1e400; return x; }",
+        "float main(void) { float a[2] = {1e400 - 1e400, 1e400}; "
+        "return a[0] + a[1]; }",
+    ], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("emit", [generate_source, generate_linear_source])
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_non_finite_float_literals(self, source, emit, timed):
+        # repr() writes these literals as inf and nan.
+        ir = compile_cmini(source)
+        if timed:
+            annotate_program(ir, microblaze())
+        expected = Interpreter(ir).call("main")
+        generated = program_from_source(emit(ir, timed), ir, timed=timed)
+        value = generated.entry("main")(ProcessContext(),
+                                        generated.fresh_globals())
+        assert repr(value) == repr(expected)
 
 
 class TestTimedGeneration:

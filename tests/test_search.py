@@ -1,13 +1,19 @@
 """Tests for the staged design-space search engine."""
 
-import pytest
+import random
+from types import SimpleNamespace
 
-from repro import artifacts
+import numpy
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import artifacts, search as search_module
 from repro.apps.mp3 import Mp3Params
 from repro.explore import (
     CheckpointError, DesignPoint, ExplorationCheckpoint, explore,
 )
 from repro.pum import microblaze
+from repro.estimation.staticest import REFERENCE_CYCLE_NS
 from repro.search import (
     SearchError, SearchSpace, as_search_space, merge_checkpoints,
     merge_shard_results, mp3_product_space, parse_shard, search,
@@ -113,6 +119,109 @@ class TestSearchSpace:
         for bad in ("4/4", "x/4", "2", "-1/4"):
             with pytest.raises(SearchError):
                 parse_shard(bad)
+
+
+def _reference_static_scores(space, indices):
+    """The static scorer as per-point Python loops: dict grouping by the
+    mixed-radix design key, list axis values and one division per point."""
+    keys = [0] * len(indices)
+    for stride, size in space._design_radix:
+        keys = [key + (index // stride) % size * stride
+                for key, index in zip(keys, indices)]
+    groups = {}
+    for pos, key in enumerate(keys):
+        groups.setdefault(key, []).append(pos)
+    groups = list(groups.values())
+
+    def axis_values(axis, sub):
+        pos = [name for name, _ in space.axes].index(axis)
+        stride, size = space._strides[pos], space._sizes[pos]
+        return [space.axes[pos][1][(i // stride) % size] for i in sub]
+
+    scores = [0.0] * len(indices)
+    for positions in groups:
+        sub = [indices[p] for p in positions]
+        base_ns, freq_cycles, bus_hist, buses = search_module._group_model(
+            space, sub[0], None)
+        est = numpy.full(len(sub), base_ns, dtype=float)
+        for axis, cycles in freq_cycles.items():
+            mhz = numpy.asarray(axis_values(axis, sub), dtype=float)
+            est += cycles * (1000.0 / mhz)
+        for bus_name, hist in bus_hist.items():
+            bus = buses[bus_name]
+            if space.bus_width_axis is not None:
+                width = numpy.asarray(axis_values(space.bus_width_axis, sub),
+                                      dtype=numpy.int64)
+            else:
+                width = numpy.int64(bus.words_per_cycle)
+            if space.bus_arb_axis is not None:
+                arb = numpy.asarray(axis_values(space.bus_arb_axis, sub),
+                                    dtype=numpy.int64)
+            else:
+                arb = numpy.int64(bus.arbitration_cycles)
+            cycles = arb * sum(hist.values())
+            for words, times in hist.items():
+                cycles = cycles + times * ((words + width - 1) // width)
+            est += bus.cycle_ns * cycles
+        for p, value in zip(positions, est):
+            scores[p] = float(value) / REFERENCE_CYCLE_NS
+    return groups, scores
+
+
+def _fake_group_model(space, rep_index, store):
+    """A model drawn from few values per delay group, so scores tie."""
+    rng = random.Random(repr(space.delay_group_key(rep_index)))
+    freq = {axis: rng.choice((0, 120, 241)) for axis in space.freq_axes}
+    hist = {rng.choice((1, 3, 16)): rng.choice((1, 2)) for _ in range(2)}
+    bus = SimpleNamespace(words_per_cycle=rng.choice((1, 4)),
+                          arbitration_cycles=rng.choice((0, 2)),
+                          cycle_ns=rng.choice((10.0, 7.7)))
+    return rng.choice((0.0, 3.3, 6.1)), freq, {"bus": hist}, {"bus": bus}
+
+
+class TestVectorizedStaticStage:
+    """Grouping, scores and the cut equal the per-point formulas."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_per_point_formulas(self, data):
+        n_axes = data.draw(st.integers(1, 4))
+        roles = data.draw(st.lists(
+            st.sampled_from(["design", "freq", "width", "arb"]),
+            min_size=n_axes, max_size=n_axes))
+        pools = {"design": (1, 2, 3), "freq": (50.0, 66.0, 133.0),
+                 "width": (1, 2, 4), "arb": (0, 1, 2)}
+        axes, analytic = [], {}
+        for pos, role in enumerate(roles):
+            if role != "design" and role in analytic:
+                role = "design"  # one analytic axis of each kind
+            if role != "design":
+                analytic[role] = "a%d" % pos
+            # repeated values force score ties inside a group
+            axes.append(("a%d" % pos, tuple(data.draw(st.lists(
+                st.sampled_from(pools[role]), min_size=1, max_size=3)))))
+        space = SearchSpace(
+            "ties", axes, build=lambda meta: None,
+            freq_axes=({analytic["freq"]: "cpu"} if "freq" in analytic
+                       else None),
+            bus_width_axis=analytic.get("width"),
+            bus_arb_axis=analytic.get("arb"),
+        )
+        indices = data.draw(st.lists(
+            st.integers(0, len(space) - 1), min_size=1, unique=True))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search_module, "_group_model", _fake_group_model)
+            groups, expected = _reference_static_scores(space, indices)
+            scores, counters = static_scores(space, indices, store=object())
+        assert space.delay_groups(indices) == groups
+        assert counters == {"scored": len(indices),
+                            "delay_groups": len(groups)}
+        assert list(map(float.hex, scores)) == list(map(float.hex, expected))
+        by_score = sorted(indices, key=lambda i: (expected[indices.index(i)],
+                                                  i))
+        for keep in range(1, len(indices) + 1):
+            assert search_module._lowest(indices, scores, keep) == sorted(
+                by_score[:keep])
 
 
 class TestStaticScores:
